@@ -269,7 +269,7 @@ let ablation_search () =
   in
   List.iter
     (fun (label, algo) ->
-      let r = Driver.tune ~search:algo ~method_:Method.Mbr b Machine.pentium4 Trace.Train in
+      let r = Driver.tune ~strategy:algo ~method_:Method.Mbr b Machine.pentium4 Trace.Train in
       let imp = Driver.improvement_pct b Machine.pentium4 ~best:r.Driver.best_config Trace.Ref in
       Table.add_row t
         [
@@ -279,18 +279,18 @@ let ablation_search () =
           Table.fmt_float ~decimals:2 r.Driver.tuning_seconds;
         ])
     [
-      ("Iterative Elimination", Driver.Ie);
-      ("Batch Elimination", Driver.Be);
-      ("Combined Elimination", Driver.Ce);
-      ("Random (100 samples)", Driver.Random 100);
-      ("Fractional factorial [2]", Driver.Ff);
-      ("OSE presets [13]", Driver.Ose);
+      ("Iterative Elimination", Strategy.Ie);
+      ("Batch Elimination", Strategy.Be);
+      ("Combined Elimination", Strategy.Ce);
+      ("Random (100 samples)", Strategy.Random 100);
+      ("Fractional factorial [2]", Strategy.Ff);
+      ("OSE presets [13]", Strategy.Ose);
     ];
   Table.print t;
-  note "Expected: the elimination searches land within a few percent of each";
-  note "other (under measurement noise the greedy paths differ); BE is cheapest";
-  note "but blind to flag interactions (see the unit-test interaction trap);";
-  note "random search yields the least improvement per rating spent."
+  note "Expected: under MBR on MGRID the greedy eliminations stall at or just";
+  note "below -O3 while the sampling searches (random, fractional factorial,";
+  note "OSE) land several percent above it; BE is cheapest but blind to flag";
+  note "interactions (see the unit-test interaction trap)."
 
 (* A5: the symbolic-range save/restore optimization (Section 2.4.2). *)
 let ablation_ranges () =
@@ -714,11 +714,11 @@ let adaptive () =
 
 let store_exp () =
   heading "Persistent tuning store: journaling overhead and replay speedup";
-  note "Same session three ways: no store (the plain deterministic path), a cold";
+  note "Same session three ways: no store, a cold";
   note "store (journaling every rating), and a replay (resuming the completed";
   note "journal, so every rating is served from the cache).";
   let b = bench "ART" and machine = Machine.pentium4 in
-  let method_ = Method.Rbr and search = Driver.Be in
+  let method_ = Method.Rbr and strategy = Strategy.Be in
   let root = Filename.temp_file "peak-bench-store" "" in
   Sys.remove root;
   Unix.mkdir root 0o755;
@@ -728,12 +728,8 @@ let store_exp () =
     let r = f () in
     (Unix.gettimeofday () -. t0, r)
   in
-  let t_plain, plain =
-    time (fun () ->
-        Pool.run ~domains:1 (fun pool ->
-            Driver.tune ~search ~method_ ~pool b machine Trace.Train))
-  in
-  let meta = Driver.session_meta ~method_ ~search b machine Trace.Train in
+  let t_plain, plain = time (fun () -> Driver.tune ~strategy ~method_ b machine Trace.Train) in
+  let meta = Driver.session_meta ~method_ ~strategy b machine Trace.Train in
   let tune_stored () =
     match Peak_store.Session.open_ ~dir ~meta () with
     | Error e -> failwith e
@@ -742,7 +738,7 @@ let store_exp () =
           ~finally:(fun () -> Peak_store.Session.close s)
           (fun () ->
             ( Peak_store.Session.loaded_events s,
-              Driver.tune ~search ~method_ ~store:s b machine Trace.Train ))
+              Driver.tune ~strategy ~method_ ~store:s b machine Trace.Train ))
   in
   let t_cold, (_, cold) = time tune_stored in
   let t_replay, (replayed, warm) = time tune_stored in
@@ -816,10 +812,7 @@ let faults_exp () =
   List.iter
     (fun name ->
       let b = bench name in
-      let tune faults =
-        Pool.run ~domains:1 (fun pool ->
-            Driver.tune ?faults ~search:Driver.Be ~pool b machine Trace.Train)
-      in
+      let tune faults = Driver.tune ?faults ~strategy:Strategy.Be b machine Trace.Train in
       let clean = tune None in
       List.iter
         (fun (label, spec) ->
@@ -858,7 +851,7 @@ let tracing_exp () =
   let b = bench "ART" and machine = Machine.pentium4 in
   let tune () =
     Pool.run ~domains:2 (fun pool ->
-        Driver.tune ~search:Driver.Be ~pool b machine Trace.Train)
+        Driver.tune ~strategy:Strategy.Be ~pool b machine Trace.Train)
   in
   let timed_tune capacity =
     (match capacity with 0 -> () | c -> Peak_obs.install ~capacity:c ());
@@ -1470,7 +1463,7 @@ let serve_exp () =
             let b = bench "ART" in
             let params = { Rating.default_params with Rating.max_invocations = 40 } in
             let meta =
-              Driver.session_meta ~method_:Method.Rbr ~search:Driver.Be
+              Driver.session_meta ~method_:Method.Rbr ~strategy:Strategy.Be
                 ~rating_params:params ~seed:(1000 + i) b Machine.pentium4 Trace.Train
             in
             let reference =
@@ -1483,7 +1476,7 @@ let serve_exp () =
                         (fun () ->
                           Ok
                             (Driver.result_summary
-                               (Driver.tune ~seed:(1000 + i) ~search:Driver.Be
+                               (Driver.tune ~seed:(1000 + i) ~strategy:Strategy.Be
                                   ~rating_params:params ~method_:Method.Rbr ~pool
                                   ~store:session b Machine.pentium4 Trace.Train))))
             in

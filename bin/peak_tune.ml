@@ -55,10 +55,6 @@ let parse_dataset name =
   | "ref" -> Ok Trace.Ref
   | other -> Error ("unknown dataset " ^ other ^ " (train | ref)")
 
-(* Accepts the stored "random<n>" spelling too, so a session's recorded
-   search name round-trips through [session resume]. *)
-let parse_search = Driver.search_of_string
-
 (* "auto" is left to Driver.tune, which resolves it from its own
    profiling pass (with §3 fallback) instead of profiling twice. *)
 let parse_method name =
@@ -395,8 +391,8 @@ let tune_cmd =
     Arg.(
       value & flag
       & info [ "warm" ]
-          ~doc:"Start the search from a configuration proposed by the store's history \
-                (requires $(b,--store)).")
+          ~doc:"Start the search from the top recommendation of a knowledge base built \
+                from the store's own sessions, as $(b,--kb) would (requires $(b,--store)).")
   in
   let kb_arg =
     Arg.(
@@ -414,57 +410,31 @@ let tune_cmd =
     let b = or_die (find_benchmark name) in
     let machine = or_die (find_machine machine_name) in
     let dataset = or_die (parse_dataset dataset_name) in
-    let search = or_die (parse_search search_name) in
+    let search = or_die (Strategy.of_string search_name) in
     let method_ = or_die (parse_method method_name) in
     let rating_params = rating_params_of_cap cap in
     let faults = or_die (parse_faults ~seed faults_spec) in
     if retries < 0 then die "--fault-retries must be >= 0";
     if warm && store_dir = None then die "--warm requires --store DIR";
     if warm && kb_path <> None then die "--warm and --kb are mutually exclusive";
-    let kb = Option.map (fun p -> or_die (Peak_store.Kb.load p)) kb_path in
-    let start =
-      match (warm, store_dir) with
-      | true, Some dir -> (
-          match
-            Peak_store.Warmstart.propose ~dir ~benchmark:b.Benchmark.name
-              ~machine:machine.Machine.name
-          with
-          | Error e -> die e
-          | Ok None ->
-              Printf.printf "Warm start: no usable history in %s; starting from -O3\n" dir;
-              None
-          | Ok (Some p) ->
-              (match p.Peak_store.Warmstart.origin with
-              | Peak_store.Warmstart.Nearest_neighbor d ->
-                  Printf.printf
-                    "Warm start from %s (nearest neighbor, distance %.3f over %d sessions): %s\n"
-                    p.Peak_store.Warmstart.neighbor d p.Peak_store.Warmstart.sessions
-                    (Optconfig.to_string p.Peak_store.Warmstart.start)
-              | Peak_store.Warmstart.Most_frequent ->
-                  Printf.printf
-                    "Warm start (most frequent best on %s over %d sessions): %s\n"
-                    machine.Machine.name p.Peak_store.Warmstart.sessions
-                    (Optconfig.to_string p.Peak_store.Warmstart.start));
-              Some p.Peak_store.Warmstart.start)
-      | _ -> None
+    (* --warm is --kb over the store's own corpus.  The start is
+       resolved here — not inside the driver — so a store-backed session
+       records it in its meta and resumes without needing the KB again. *)
+    let kb =
+      match (kb_path, store_dir) with
+      | Some p, _ -> Some (or_die (Peak_store.Kb.load p))
+      | None, Some dir when warm -> Some (or_die (Knowledge.build ~dir))
+      | None, _ -> None
     in
-    (* the KB start is resolved here — not inside the driver — so a
-       store-backed session records it in its meta and resumes without
-       needing the KB file again *)
     let start =
-      match (start, kb) with
-      | Some _, _ | None, None -> start
-      | None, Some kb -> (
-          match
-            Knowledge.recommend kb ~benchmark:b.Benchmark.name
-              ~machine:machine.Machine.name ()
-          with
-          | [] ->
+      Option.bind kb (fun kb ->
+          match Knowledge.start kb b machine with
+          | None ->
               Printf.printf
                 "Knowledge base: no recommendation for %s on %s; starting from -O3\n"
                 b.Benchmark.name machine.Machine.name;
               None
-          | r :: _ ->
+          | Some r ->
               Printf.printf
                 "Knowledge base start (predicted speedup %.2fx, %d donor session%s): %s\n"
                 r.Peak_store.Kb.rec_predicted r.Peak_store.Kb.rec_support
@@ -527,7 +497,7 @@ let suite_cmd =
     in
     let machine = or_die (find_machine machine_name) in
     let dataset = or_die (parse_dataset dataset_name) in
-    let search = or_die (parse_search search_name) in
+    let search = or_die (Strategy.of_string search_name) in
     let method_ = or_die (parse_method method_name) in
     let rating_params = rating_params_of_cap cap in
     let faults = or_die (parse_faults ~seed faults_spec) in
@@ -863,7 +833,7 @@ let session_resume_cmd =
     let b = or_die (find_benchmark m.Peak_store.Codec.m_benchmark) in
     let machine = or_die (find_machine m.Peak_store.Codec.m_machine) in
     let dataset = or_die (parse_dataset m.Peak_store.Codec.m_dataset) in
-    let search = or_die (parse_search m.Peak_store.Codec.m_search) in
+    let search = or_die (Strategy.of_string m.Peak_store.Codec.m_search) in
     let method_ = or_die (parse_method m.Peak_store.Codec.m_method) in
     let seed = m.Peak_store.Codec.m_seed in
     let threshold = m.Peak_store.Codec.m_threshold in

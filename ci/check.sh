@@ -164,6 +164,22 @@ else
 fi
 "$BIN" session gc --store "$SMOKE/crash" > /dev/null
 
+# One rating path: a plain session and a store-backed one rate through
+# the same scheme, so they must print the same winner, search and
+# tuning-time ledger.
+echo "== store/no-store identity smoke"
+"$BIN" tune SWIM -m pentium4 \
+  | grep -E '^(Best configuration|Search|Tuning time):' > "$SMOKE/swim-plain.out"
+"$BIN" tune SWIM -m pentium4 --store "$SMOKE/swim" \
+  | grep -E '^(Best configuration|Search|Tuning time):' > "$SMOKE/swim-store.out"
+if [ "$(wc -l < "$SMOKE/swim-plain.out")" -eq 3 ] \
+   && diff "$SMOKE/swim-plain.out" "$SMOKE/swim-store.out"; then
+  echo "   store-backed result identical to the plain run"
+else
+  echo "   store-backed result DIFFERS from the plain run" >&2
+  exit 1
+fi
+
 # Fallback resume smoke: a rating cap below the convergence window makes
 # every absolute probe fail, so an auto session walks the fallback chain
 # down to RBR.  Kill it mid-flight and the resume must replay the probe

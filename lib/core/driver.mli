@@ -1,12 +1,26 @@
 (** The Performance Tuning Driver (Section 4.2, step 5).
 
     Ties everything together for one (benchmark, machine, rating method,
-    dataset) cell of the paper's Figure 7: profile the tuning section,
-    consult on rating methods, then drive the optimization-space search,
-    rating every candidate version with the selected method and charging
-    every simulated cycle — TS executions, instrumentation, RBR
-    re-execution overheads, and the non-TS portion of each program pass —
-    to the tuning-time ledger.
+    dataset) cell of the paper's Figure 7, in four phases: profile the
+    tuning section, resolve the rating method, search the optimization
+    space, summarize.  Every candidate version is rated with the
+    selected method and every simulated cycle — TS executions,
+    instrumentation, RBR re-execution overheads, compile stalls, and the
+    non-TS portion of each program run — is charged to the tuning-time
+    ledger.
+
+    There is one rating scheme.  Each rating runs on its own runner,
+    seeded from the tuning seed, the candidate's batch index and the
+    configuration's identity (and, for relative methods, the base's), so
+    a rating never depends on which domain ran it or on what was rated
+    before it.  A batch of candidates runs concurrently on the pool
+    ([List.map] without one), and the outcomes are folded into the
+    session in submission order.  At that fold:
+    - the ledger charges each job's executions, and the compile stall
+      its version waited for (see [compile] at {!tune});
+    - the session is charged ⌈Σ invocations ÷ trace length⌉ program
+      runs, as if all ratings ran back to back in one program run —
+      the paper's accounting, which rates many versions per run.
 
     Rating methods themselves live in {!Method} (the registry) — the
     driver only distinguishes {!Method.prepared} shapes (absolute vs
@@ -16,23 +30,6 @@
     start configuration once, and a non-converged probe falls through to
     the next method.  Every attempt — failed probes and the committed
     method — is recorded in {!result.attempts}. *)
-
-type search_algo = Strategy.t = Ie | Be | Ce | Random of int | Ff | Ose | Staged
-(** Re-export of {!Strategy.t}: search identity is owned by the
-    Strategy registry, and the historical [Driver.Ie]-style
-    constructors remain valid. *)
-
-val search_name : search_algo -> string
-(** = {!Strategy.key}: the stable lower-case key used in store session
-    ids and metadata (["ie"], ["be"], ["ce"], ["random100"], ["ff"],
-    ["ose"], ["staged"]). *)
-
-val search_of_string : string -> (search_algo, string) result
-(** = {!Strategy.of_string}, the inverse of {!search_name}
-    (case-insensitive; ["random"] alone means [Random 100] and
-    ["random<n>"] any positive sample count).  The one parser behind
-    the CLI's [-s]/[--search] and the service protocol's submit
-    requests. *)
 
 type result = {
   benchmark : Peak_workload.Benchmark.t;
@@ -55,7 +52,7 @@ type result = {
   search_stats : Search.stats;
   tuning_cycles : float;  (** Simulated cycles spent tuning. *)
   tuning_seconds : float;
-  passes : int;  (** Program runs consumed. *)
+  passes : int;  (** Program runs charged: ⌈[invocations] ÷ trace length⌉. *)
   invocations : int;
   quarantined : (Peak_compiler.Optconfig.t * string) list;
       (** Configurations condemned under fault injection, in submission
@@ -88,7 +85,6 @@ val result_summary : result -> Peak_store.Codec.session_result
 
 val session_meta :
   ?method_:Method.t ->
-  ?search:search_algo ->
   ?strategy:Strategy.t ->
   ?rating_params:Rating.params ->
   ?threshold:float ->
@@ -106,7 +102,6 @@ val session_meta :
 
 val tune :
   ?seed:int ->
-  ?search:search_algo ->
   ?strategy:Strategy.t ->
   ?rating_params:Rating.params ->
   ?threshold:float ->
@@ -126,30 +121,28 @@ val tune :
 (** Run one full offline tuning session.
 
     [kb] plugs the collaborative knowledge base in twice: its top
-    recommendation becomes the warm-start configuration when neither
-    [start] nor a store session supplies one, and its rows for this
-    benchmark × machine join the [Staged] strategy's training corpus
-    (after the store-index rows, in the KB's canonical order).  A
-    store-backed session never takes its start from [kb] — pass the
-    recommendation as an explicit [start] recorded in the session meta,
-    as the CLI's [--kb] does, so resume stays KB-independent.
+    recommendation ({!Knowledge.start}) becomes the warm-start
+    configuration when neither [start] nor a store session supplies
+    one, and its rows for this benchmark × machine join the [Staged]
+    strategy's training corpus (after the store-index rows, in the KB's
+    canonical order).  A store-backed session never takes its start
+    from [kb] — pass the recommendation as an explicit [start] recorded
+    in the session meta, as the CLI's [--kb] and [--warm] do, so resume
+    stays KB-independent.
 
-    [strategy] (first-class spelling) and [search] (historical alias;
-    [strategy] wins when both are given) select the search plan from
-    the {!Strategy} registry — default Iterative Elimination.  The
-    chosen strategy and its executed stage boundaries are recorded in
-    {!result.strategy}/{!result.stages} (and in [result.json], codec
-    v5), each stage runs under a [search:<key>:stage<k>] span, and the
-    [Staged] strategy additionally trains its screening regression on
-    the attached store's rating index (rebuilt only by [session gc],
-    so kill/resume replays stage transitions bit-identically).
+    [strategy] selects the search plan from the {!Strategy} registry —
+    default Iterative Elimination.  The chosen strategy and its executed
+    stage boundaries are recorded in {!result.strategy}/{!result.stages}
+    (and in [result.json], codec v5), each stage runs under a
+    [search:<key>:stage<k>] span, and the [Staged] strategy additionally
+    trains its screening regression on the attached store's rating index
+    (rebuilt only by [session gc], so kill/resume replays stage
+    transitions bit-identically).
 
-    [method_] may force a method
-    the consultant would not choose (the Figure-7 bars include such
-    cells, e.g. MGRID under CBR); forcing is exempt from fallback — the
-    chain is just that method, never probed — so a forced run is
-    bit-identical to a driver without the fallback layer.  Forcing CBR
-    on a section whose context analysis failed raises
+    [method_] may force a method the consultant would not choose (the
+    Figure-7 bars include such cells, e.g. MGRID under CBR); forcing is
+    exempt from fallback — the chain is just that method, never probed.
+    Forcing CBR on a section whose context analysis failed raises
     {!Method.Not_applicable}.
 
     Omitted, the method is resolved by the §3 fallback protocol over the
@@ -159,51 +152,40 @@ val tune :
     rater; if the probe's VAR fails to converge within the rating
     invocation cap (or the rater finds no samples at all), the method is
     abandoned and the next applicable one is tried.  RBR — relative,
-    always last among applicable auto methods — is never probed.  A
-    converged probe is cached as the search's base rating, so in the
-    deterministic rating scheme (with [pool] or [store]) a successful
-    first probe makes the auto run bit-identical to forcing the chosen
-    method.  In the plain sequential scheme the probe shares the single
-    runner's invocation stream, so an auto run's stream interleaving
-    differs from a forced run's (both remain deterministic per seed).
+    always last among applicable auto methods — is never probed.  The
+    probe is exactly the search's base rating (same seed, same store
+    key, same fold position), so a converged first probe makes the auto
+    run bit-identical to forcing the chosen method.
 
     [compile] models the Remote Optimizer: (mode, seconds-per-version);
     omitted, compiles are free (the default the Figure-7 numbers use,
     matching the paper's tuning-time accounting, which counts program
-    runs).
+    runs).  Strategies prefetch each iteration's candidates; each
+    rating's compile stall is charged at its fold position, after every
+    earlier rating has advanced the ledger clock — [Local] stalls for
+    the whole compile, [Remote] only for what the overlapped compile
+    server has not finished.
 
-    [pool] routes every candidate scan through {!Peak_util.Pool.map},
-    rating candidates concurrently.  Each candidate then runs on its own
-    runner whose seed is derived from [seed], the candidate's batch index
-    and the configuration's identity, and the consumed
-    invocations/passes/cycles are folded back into the session totals in
-    submission order — so the result (best configuration, attempted
-    chain, search stats, tuning-cycle ledger) is bit-identical regardless
-    of the pool's domain count.  Note the parallel path rates each batch
-    on fresh runners rather than one shared invocation stream, so its
-    results differ from the no-pool sequential path (but not across pool
-    sizes).
+    [pool] rates each batch's candidates concurrently; the result (best
+    configuration, attempted chain, search stats, tuning-cycle ledger)
+    is bit-identical for every domain count and to a run without a
+    pool.
 
     [store] logs every rating event — fallback probes included, with
     their convergence flag — to a persistent session
     ({!Peak_store.Session}) and serves already-stored ratings from it —
-    value and consumed resources both — so re-running (resuming) a
-    killed session replays instantly up to the interruption point, {e
-    including every fallback decision}, and then continues, with final
-    results bit-identical to an uninterrupted run.  A store-enabled
-    session always rates through the deterministic per-candidate scheme
-    above, with or without [pool] (so its numbers match across
-    [~domains] 1/2/4 and differ from the plain sequential path, exactly
-    as with [pool]).  On completion the session's [result.json] is
-    written automatically; closing the session remains the caller's job.
-    Caveat: combining [store] with [compile] resumes correctly but the
-    remote-optimizer stall charges of skipped compiles are not replayed,
-    so the tuning-time ledger can differ there.
+    value and consumed resources both, folded at the same position a
+    fresh rating would occupy — so re-running (resuming) a killed
+    session replays instantly up to the interruption point, {e including
+    every fallback decision and compile stall}, and then continues, with
+    final results bit-identical to an uninterrupted run and to a run
+    without a store.  On completion the session's [result.json] is
+    written automatically; closing the session remains the caller's
+    job.
 
     [start] overrides the search's start configuration (default [-O3];
-    a store session's recorded start — e.g. a warm start proposed by
-    {!Peak_store.Warmstart} — wins over the default when [store] is
-    given).
+    a store session's recorded start — e.g. a warm start from the
+    knowledge base — wins over the default when [store] is given).
 
     [faults] subjects every candidate execution to the given
     {!Peak_sim.Fault} plan and makes the driver fault-tolerant: the
@@ -215,10 +197,7 @@ val tune :
     ledger.  Configurations that keep failing or produce wrong output
     are quarantined — rated [+infinity] so no search adopts them — and
     reported in {!result.quarantined} (and, with [store], journaled so
-    a resumed session replays the quarantine decisions).  Fault
-    injection forces the deterministic per-candidate rating scheme, so
-    fault-tolerant runs stay bit-identical across [~domains] 1/2/4 and
-    across kill/resume.
+    a resumed session replays the quarantine decisions).
 
     [progress] is called after each rating is folded into the session,
     always on the calling domain (never inside a pool worker), with
@@ -234,7 +213,6 @@ val tune :
 
 val tune_suite :
   ?seed:int ->
-  ?search:search_algo ->
   ?strategy:Strategy.t ->
   ?rating_params:Rating.params ->
   ?threshold:float ->
@@ -251,9 +229,8 @@ val tune_suite :
     (default 1).  The benchmarks themselves are distributed over the pool
     and each session also fans its candidate scans out on the same pool
     (nested batches are safe: {!Peak_util.Pool.map} callers help drain
-    the queue).  Results are in benchmark order and — by the per-candidate
-    seeding scheme described at {!tune} — bit-identical for every value of
-    [domains].
+    the queue).  Results are in benchmark order and bit-identical for
+    every value of [domains].
 
     [store_dir] opens (or resumes) one persistent session per benchmark
     under that store directory, as {!tune}'s [store] does for a single

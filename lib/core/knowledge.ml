@@ -21,5 +21,10 @@ let recommend kb ~benchmark ~machine ?k ?exclude () =
   | None -> []
   | Some fv -> Peak_store.Kb.recommend kb ~features:fv ~machine ?k ?exclude ()
 
-let recommend_start kb (b : Benchmark.t) (m : Peak_machine.Machine.t) =
-  Peak_store.Kb.recommend kb ~features:(program_features b m) ~machine:m.Peak_machine.Machine.name ()
+let start kb (b : Benchmark.t) (m : Peak_machine.Machine.t) =
+  match
+    Peak_store.Kb.recommend kb ~features:(program_features b m) ~machine:m.Peak_machine.Machine.name
+      ()
+  with
+  | r :: _ -> Some r
+  | [] -> None

@@ -36,6 +36,9 @@ val recommend :
 (** Ranked recommendations for a benchmark/machine named in the
     registry; [] when either name is unknown. *)
 
-val recommend_start :
-  Peak_store.Kb.t -> Benchmark.t -> Peak_machine.Machine.t -> Peak_store.Kb.recommendation list
-(** Driver-side variant taking resolved values. *)
+val start :
+  Peak_store.Kb.t -> Benchmark.t -> Peak_machine.Machine.t -> Peak_store.Kb.recommendation option
+(** The warm-start configuration for a tuning session: the top
+    {!recommend} row, [None] on an empty corpus.  [tune --kb FILE],
+    [tune --warm --store DIR] (over the store's own corpus) and
+    {!Driver.tune}'s [?kb] all start from it. *)

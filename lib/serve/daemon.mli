@@ -4,9 +4,9 @@
 
     {b Multiplexing.}  Every accepted connection gets a thread; every
     admitted session gets a runner thread.  All sessions share a single
-    {!Peak_util.Pool}, so the pool's deterministic per-candidate rating
-    scheme applies and every session's result is bit-identical to
-    running the same parameters through the batch CLI with [--store].
+    {!Peak_util.Pool}; the driver's results do not depend on the pool,
+    so every session's result is bit-identical to running the same
+    parameters through the batch CLI with [--store].
 
     {b Admission.}  {!Admission} bounds in-flight sessions and paces
     them to fair-share fresh-rating budgets via {!Peak.Driver.tune}'s

@@ -670,37 +670,6 @@ let test_params_signature_rejects_nonfinite () =
     [ "inf"; "-inf"; "nan"; "infinity"; "bogus" ]
 
 (* ------------------------------------------------------------------ *)
-(* Harness fallback                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_harness_uses_first_applicable () =
-  let b = bench "APSI" in
-  let tsec = tsec_of b.Benchmark.ts in
-  let trace = b.Benchmark.trace Trace.Train ~seed:41 in
-  let profile = Profile.run tsec trace Machine.sparc2 in
-  let advice = Consultant.advise tsec profile in
-  let runner = Runner.create ~seed:42 tsec trace Machine.sparc2 in
-  let version = Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3 in
-  let outcome = Harness.rate_with_fallback ~params:fast_params runner profile advice ~base:version version in
-  Alcotest.(check string) "CBR used" "CBR" (Method.name outcome.Harness.method_used);
-  Alcotest.(check int) "single attempt" 1 (List.length outcome.Harness.attempts)
-
-let test_harness_falls_back_on_tight_threshold () =
-  (* an impossible CBR threshold forces the switch the paper describes *)
-  let b = bench "APSI" in
-  let tsec = tsec_of b.Benchmark.ts in
-  let trace = b.Benchmark.trace Trace.Train ~seed:41 in
-  let profile = Profile.run tsec trace Machine.sparc2 in
-  let advice = Consultant.advise tsec profile in
-  let runner = Runner.create ~seed:42 tsec trace Machine.sparc2 in
-  let version = Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3 in
-  let params =
-    { Rating.window = 10; rel_threshold = 1e-9; max_invocations = 120; outlier_k = 3.5 }
-  in
-  let outcome = Harness.rate_with_fallback ~params runner profile advice ~base:version version in
-  Alcotest.(check bool) "more than one attempt" true (List.length outcome.Harness.attempts > 1)
-
-(* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -923,6 +892,30 @@ let test_driver_auto_method () =
   Alcotest.(check string) "auto picks MBR for MGRID" "MBR"
     (Method.name (Driver.auto_method profile tsec))
 
+(* The §3 fallback walk of auto mode: APSI's consultant chain starts
+   with CBR, whose probe converges, so the session commits it on the
+   first attempt. *)
+let test_driver_auto_first_applicable () =
+  let r =
+    Driver.tune ~strategy:Strategy.Be ~rating_params:fast_params (bench "APSI") Machine.sparc2
+      Trace.Train
+  in
+  Alcotest.(check string) "CBR used" "CBR" (Method.name r.Driver.method_used);
+  match r.Driver.attempts with
+  | [ a ] -> Alcotest.(check bool) "the one attempt converged" true a.Method.a_converged
+  | l -> Alcotest.failf "expected a single attempt, got %d" (List.length l)
+
+let test_driver_auto_falls_back () =
+  (* an impossible convergence threshold forces the switch the paper
+     describes *)
+  let rating_params =
+    { Rating.window = 10; rel_threshold = 1e-9; max_invocations = 120; outlier_k = 3.5 }
+  in
+  let r =
+    Driver.tune ~strategy:Strategy.Be ~rating_params (bench "APSI") Machine.sparc2 Trace.Train
+  in
+  Alcotest.(check bool) "more than one attempt" true (List.length r.Driver.attempts > 1)
+
 let test_driver_evaluation_consistency () =
   let b = bench "SWIM" in
   let t1 = Driver.evaluate_program_cycles b Machine.sparc2 Optconfig.o3 Trace.Train in
@@ -1047,11 +1040,6 @@ let suites =
         Alcotest.test_case "params signature rejects non-finite" `Quick
           test_params_signature_rejects_nonfinite;
       ] );
-    ( "core.harness",
-      [
-        Alcotest.test_case "first applicable" `Quick test_harness_uses_first_applicable;
-        Alcotest.test_case "fallback" `Quick test_harness_falls_back_on_tight_threshold;
-      ] );
     ( "core.search",
       [
         Alcotest.test_case "IE finds harmful flags" `Quick test_ie_finds_harmful_flags;
@@ -1079,6 +1067,8 @@ let suites =
         Alcotest.test_case "method forcing" `Quick test_driver_method_forcing_checks;
         Alcotest.test_case "deterministic" `Quick test_driver_deterministic;
         Alcotest.test_case "auto method" `Quick test_driver_auto_method;
+        Alcotest.test_case "auto: first applicable" `Quick test_driver_auto_first_applicable;
+        Alcotest.test_case "auto: falls back" `Quick test_driver_auto_falls_back;
         Alcotest.test_case "evaluation" `Quick test_driver_evaluation_consistency;
         Alcotest.test_case "report normalization" `Quick test_report_normalization;
         Alcotest.test_case "figure7 methods" `Quick test_report_figure7_methods;

@@ -260,7 +260,7 @@ let test_quarantine_ground_truth () =
           let b = bench bname in
           let faults = default_plan fault_seed in
           let meta =
-            Driver.session_meta ~seed:11 ~search:Driver.Be ~faults b machine Trace.Train
+            Driver.session_meta ~seed:11 ~strategy:Strategy.Be ~faults b machine Trace.Train
           in
           let dir = Filename.concat root (Printf.sprintf "%s-%d" bname fault_seed) in
           let session = Result.get_ok (Session.open_ ~dir ~meta ()) in
@@ -268,7 +268,7 @@ let test_quarantine_ground_truth () =
             Fun.protect
               ~finally:(fun () -> Session.close session)
               (fun () ->
-                Driver.tune ~seed:11 ~search:Driver.Be ~store:session ~faults b machine
+                Driver.tune ~seed:11 ~strategy:Strategy.Be ~store:session ~faults b machine
                   Trace.Train)
           in
           let tag = Printf.sprintf "%s seed=%d" bname fault_seed in
@@ -318,7 +318,7 @@ let test_domains_identical_under_faults () =
       let tune domains =
         let faults = default_plan fault_seed in
         let go pool =
-          Driver.tune ~seed:11 ~search:Driver.Be ?pool ~faults b machine Trace.Train
+          Driver.tune ~seed:11 ~strategy:Strategy.Be ?pool ~faults b machine Trace.Train
         in
         if domains > 1 then Pool.run ~domains (fun p -> go (Some p)) else go None
       in
@@ -345,11 +345,11 @@ let test_resume_identical_under_faults () =
   with_tmpdir @@ fun root ->
   let b = bench "ART" in
   let machine = Machine.sparc2 in
-  let search = Driver.Be in
+  let strategy = Strategy.Be in
   List.iter
     (fun fault_seed ->
       let faults = default_plan fault_seed in
-      let meta = Driver.session_meta ~seed:11 ~search ~faults b machine Trace.Train in
+      let meta = Driver.session_meta ~seed:11 ~strategy ~faults b machine Trace.Train in
       let id = meta.Codec.m_id in
       let full_dir = Filename.concat root (Printf.sprintf "full%d" fault_seed) in
       let session = Result.get_ok (Session.open_ ~dir:full_dir ~meta ()) in
@@ -357,7 +357,7 @@ let test_resume_identical_under_faults () =
         Fun.protect
           ~finally:(fun () -> Session.close session)
           (fun () ->
-            Driver.tune ~seed:11 ~search ~store:session ~faults b machine Trace.Train)
+            Driver.tune ~seed:11 ~strategy ~store:session ~faults b machine Trace.Train)
       in
       let n_events =
         (Result.get_ok (Session.load_info ~dir:full_dir ~id)).Session.info_events
@@ -378,7 +378,7 @@ let test_resume_identical_under_faults () =
               ~finally:(fun () -> Session.close session)
               (fun () ->
                 let tune pool =
-                  Driver.tune ~seed:11 ~search ?pool ~store:session ~faults b machine
+                  Driver.tune ~seed:11 ~strategy ?pool ~store:session ~faults b machine
                     Trace.Train
                 in
                 if domains > 1 then Pool.run ~domains (fun p -> tune (Some p))
@@ -398,7 +398,7 @@ let test_resume_identical_under_faults () =
         [ 1; 2 ];
       (* a session must not resume under a different fault plan *)
       let other = default_plan (fault_seed + 1) in
-      let meta' = Driver.session_meta ~seed:11 ~search ~faults:other b machine Trace.Train in
+      let meta' = Driver.session_meta ~seed:11 ~strategy ~faults:other b machine Trace.Train in
       match Session.open_ ~dir:full_dir ~meta:meta' () with
       | Ok s ->
           Session.close s;
@@ -416,14 +416,14 @@ let test_torn_session_resumes () =
   with_tmpdir @@ fun root ->
   let b = bench "SWIM" in
   let machine = Machine.sparc2 in
-  let search = Driver.Be in
-  let meta = Driver.session_meta ~seed:11 ~search b machine Trace.Train in
+  let strategy = Strategy.Be in
+  let meta = Driver.session_meta ~seed:11 ~strategy b machine Trace.Train in
   let full_dir = Filename.concat root "full" in
   let session = Result.get_ok (Session.open_ ~dir:full_dir ~meta ()) in
   let full =
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~seed:11 ~search ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~seed:11 ~strategy ~store:session b machine Trace.Train)
   in
   let torn_dir = Filename.concat root "torn" in
   let tear ~flush ~size = if flush = 0 then Some (size / 2) else None in
@@ -431,7 +431,7 @@ let test_torn_session_resumes () =
   (match
      Fun.protect
        ~finally:(fun () -> Session.close session)
-       (fun () -> Driver.tune ~seed:11 ~search ~store:session b machine Trace.Train)
+       (fun () -> Driver.tune ~seed:11 ~strategy ~store:session b machine Trace.Train)
    with
   | (_ : Driver.result) -> Alcotest.fail "torn write did not kill the session"
   | exception Journal.Torn_write -> ());
@@ -443,7 +443,7 @@ let test_torn_session_resumes () =
   let resumed =
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~seed:11 ~search ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~seed:11 ~strategy ~store:session b machine Trace.Train)
   in
   check_identical "torn-then-resumed vs uninterrupted" full resumed
 

@@ -147,8 +147,8 @@ let machine = Machine.sparc2
 
 let test_trace_on_off_identical () =
   let b = bench "MGRID" in
-  let plain = Driver.tune ~search:Driver.Be b machine Trace.Train in
-  let traced = with_sink (fun () -> Driver.tune ~search:Driver.Be b machine Trace.Train) in
+  let plain = Driver.tune ~strategy:Strategy.Be b machine Trace.Train in
+  let traced = with_sink (fun () -> Driver.tune ~strategy:Strategy.Be b machine Trace.Train) in
   check_identical "traced vs untraced" plain traced;
   (* the durable summary — what result.json serializes — is byte-identical *)
   let encode r = Json.to_string (Codec.session_result_to_json (Driver.result_summary r)) in
@@ -157,7 +157,7 @@ let test_trace_on_off_identical () =
 let test_trace_domain_count_identical () =
   let suite domains =
     with_sink @@ fun () ->
-    Driver.tune_suite ~search:Driver.Be ~domains
+    Driver.tune_suite ~strategy:Strategy.Be ~domains
       [ bench "SWIM"; bench "MGRID" ]
       machine Trace.Train
   in
@@ -169,8 +169,8 @@ let test_trace_domain_count_identical () =
 let test_trace_kill_resume_identical () =
   with_tmpdir @@ fun root ->
   let b = bench "SWIM" in
-  let search = Driver.Be and method_ = Method.Rbr in
-  let meta = Driver.session_meta ~method_ ~search b machine Trace.Train in
+  let strategy = Strategy.Be and method_ = Method.Rbr in
+  let meta = Driver.session_meta ~method_ ~strategy b machine Trace.Train in
   let id = meta.Codec.m_id in
   let full_dir = Filename.concat root "full" in
   let session = Result.get_ok (Session.open_ ~dir:full_dir ~meta ()) in
@@ -178,7 +178,7 @@ let test_trace_kill_resume_identical () =
   let full =
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~search ~method_ ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~strategy ~method_ ~store:session b machine Trace.Train)
   in
   let n_events = (Result.get_ok (Session.load_info ~dir:full_dir ~id)).Session.info_events in
   let dst_dir = Filename.concat root "crash" in
@@ -189,17 +189,17 @@ let test_trace_kill_resume_identical () =
     let session = Result.get_ok (Session.open_ ~dir:dst_dir ~meta ()) in
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~search ~method_ ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~strategy ~method_ ~store:session b machine Trace.Train)
   in
   check_identical "traced resume vs untraced uninterrupted" full resumed
 
 let test_tune_trace_schema () =
   let export =
     with_sink @@ fun () ->
-    (* pool-backed, so the deterministic per-candidate scheme runs and
-       emits the per-rating spans alongside the pool counters *)
+    (* pool-backed, so the per-rating spans come with the pool
+       counters *)
     Peak_util.Pool.run ~domains:2 (fun pool ->
-        ignore (Driver.tune ~search:Driver.Be ~pool (bench "MGRID") machine Trace.Train));
+        ignore (Driver.tune ~strategy:Strategy.Be ~pool (bench "MGRID") machine Trace.Train));
     Option.get (Peak_obs.export ())
   in
   let doc = Result.get_ok (Json.of_string export) in

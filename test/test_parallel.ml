@@ -17,7 +17,7 @@ let check_identical = Oracles.check_identical
 (* ------------------------------------------------------------------ *)
 
 let suite_results domains =
-  Driver.tune_suite ~search:Driver.Be ~domains
+  Driver.tune_suite ~strategy:Strategy.Be ~domains
     [ bench "SWIM"; bench "MGRID"; bench "ART" ]
     Machine.sparc2 Trace.Train
 
@@ -61,10 +61,9 @@ let test_auto_method_single_profile () =
   check_identical "auto twice" auto again;
   Alcotest.(check bool) "same attempt chain" true (auto.Driver.attempts = again.Driver.attempts)
 
-(* In the deterministic rating scheme (pool or store), a converged first
-   probe doubles as the search's base rating — same derived seed, same
-   accounting slot — so auto must be bit-identical to forcing the chosen
-   method. *)
+(* A converged first probe doubles as the search's base rating — same
+   derived seed, same accounting slot — so auto must be bit-identical to
+   forcing the chosen method. *)
 let test_auto_equals_forced_deterministic () =
   let b = bench "MGRID" in
   let tune method_ =
@@ -75,6 +74,20 @@ let test_auto_equals_forced_deterministic () =
   Alcotest.(check string) "auto resolves to MBR" "MBR" (Method.name auto.Driver.method_used);
   let forced = tune (Some auto.Driver.method_used) in
   check_identical "auto vs forced" auto forced
+
+(* No pool is a pool of one: an auto session — probe, fallback walk and
+   search — gives the same bits with no pool and on 1 or 4 domains. *)
+let test_auto_pool_independent () =
+  let b = bench "MGRID" in
+  let tune pool = Driver.tune ~strategy:Strategy.Be ?pool b Machine.sparc2 Trace.Train in
+  let plain = tune None in
+  List.iter
+    (fun domains ->
+      check_identical
+        (Printf.sprintf "no pool vs -j%d" domains)
+        plain
+        (Peak_util.Pool.run ~domains (fun p -> tune (Some p))))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Batch elimination: cumulative trajectory                            *)
@@ -146,6 +159,7 @@ let suites =
           test_auto_method_single_profile;
         Alcotest.test_case "deterministic auto == forced chosen method" `Slow
           test_auto_equals_forced_deterministic;
+        Alcotest.test_case "auto: no pool == -j1 == -j4" `Slow test_auto_pool_independent;
         Alcotest.test_case "BE trajectory is cumulative" `Quick test_be_trajectory_cumulative;
         Alcotest.test_case "CBR raises No_samples on unmatched context" `Quick
           test_cbr_no_samples;

@@ -396,8 +396,8 @@ let slow_spec ?(mode = Wire.Wait) seed =
 let reference_result dir (sp : Wire.submit_spec) =
   let b = Option.get (Registry.by_name sp.Wire.sb_benchmark) in
   let machine = Machine.pentium4 in
-  let search =
-    match Driver.search_of_string sp.Wire.sb_search with
+  let strategy =
+    match Strategy.of_string sp.Wire.sb_search with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
@@ -406,7 +406,7 @@ let reference_result dir (sp : Wire.submit_spec) =
     { Rating.default_params with Rating.max_invocations = Option.get sp.Wire.sb_cap }
   in
   let meta =
-    Driver.session_meta ~method_ ~search ~rating_params:params ~seed:sp.Wire.sb_seed b
+    Driver.session_meta ~method_ ~strategy ~rating_params:params ~seed:sp.Wire.sb_seed b
       machine Trace.Train
   in
   Peak_util.Pool.run ~domains:1 (fun pool ->
@@ -417,7 +417,7 @@ let reference_result dir (sp : Wire.submit_spec) =
             ~finally:(fun () -> Peak_store.Session.close session)
             (fun () ->
               Driver.result_summary
-                (Driver.tune ~seed:sp.Wire.sb_seed ~search ~rating_params:params ~method_
+                (Driver.tune ~seed:sp.Wire.sb_seed ~strategy ~rating_params:params ~method_
                    ~pool ~store:session b machine Trace.Train)))
 
 let daemon_serves_batch_identical () =

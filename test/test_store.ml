@@ -737,19 +737,19 @@ let test_index_last_write_wins () =
 (* Sessions: parameter safety and resume determinism                   *)
 (* ------------------------------------------------------------------ *)
 
-let meta_for ?start ?(seed = 11) ~method_ ~search b machine =
-  Driver.session_meta ?start ~seed ~method_ ~search b machine Trace.Train
+let meta_for ?start ?(seed = 11) ~method_ ~strategy b machine =
+  Driver.session_meta ?start ~seed ~method_ ~strategy b machine Trace.Train
 
 let test_session_rejects_changed_params () =
   with_tmpdir @@ fun dir ->
   let b = bench "ART" and machine = Machine.sparc2 in
-  let meta = meta_for ~method_:Method.Rbr ~search:Driver.Be b machine in
+  let meta = meta_for ~method_:Method.Rbr ~strategy:Strategy.Be b machine in
   let s = Result.get_ok (Session.open_ ~dir ~meta ()) in
   Session.close s;
   (* same id, different rating parameters: must refuse, not silently mix *)
   let params = { Rating.default_params with Rating.window = 80 } in
   let meta' =
-    Driver.session_meta ~seed:11 ~method_:Method.Rbr ~search:Driver.Be ~rating_params:params
+    Driver.session_meta ~seed:11 ~method_:Method.Rbr ~strategy:Strategy.Be ~rating_params:params
       b machine Trace.Train
   in
   match Session.open_ ~dir ~meta:meta' () with
@@ -762,16 +762,16 @@ let test_session_rejects_changed_params () =
 let resume_case ~bname ~method_ () =
   with_tmpdir @@ fun root ->
   let b = bench bname and machine = Machine.sparc2 in
-  let search = Driver.Be in
+  let strategy = Strategy.Be in
   let full_dir = Filename.concat root "full" in
-  let meta = meta_for ~method_ ~search b machine in
+  let meta = meta_for ~method_ ~strategy b machine in
   let id = meta.Codec.m_id in
   (* the uninterrupted reference run, journaling as it goes *)
   let session = Result.get_ok (Session.open_ ~dir:full_dir ~meta ()) in
   let full =
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~seed:11 ~search ~method_ ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~seed:11 ~strategy ~method_ ~store:session b machine Trace.Train)
   in
   let n_events = (Result.get_ok (Session.load_info ~dir:full_dir ~id)).Session.info_events in
   Alcotest.(check bool) (bname ^ ": session journaled events") true (n_events > 0);
@@ -790,7 +790,7 @@ let resume_case ~bname ~method_ () =
           ~finally:(fun () -> Session.close session)
           (fun () ->
             let tune pool =
-              Driver.tune ~seed:11 ~search ~method_ ?pool ~store:session b machine
+              Driver.tune ~seed:11 ~strategy ~method_ ?pool ~store:session b machine
                 Trace.Train
             in
             if domains > 1 then Pool.run ~domains (fun p -> tune (Some p)) else tune None)
@@ -807,13 +807,39 @@ let resume_case ~bname ~method_ () =
             true
             (Optconfig.equal r.Codec.r_best full.Driver.best_config))
     [ 1; 2; 4 ];
-  (* a store-enabled run equals the pool path without a store: both use
-     the deterministic per-candidate scheme *)
+  (* a store-enabled run equals a pooled run without a store *)
   let pooled =
     Pool.run ~domains:2 (fun pool ->
-        Driver.tune ~seed:11 ~search ~method_ ~pool b machine Trace.Train)
+        Driver.tune ~seed:11 ~strategy ~method_ ~pool b machine Trace.Train)
   in
-  check_identical (bname ^ " store vs plain pool path") full pooled
+  check_identical (bname ^ " store vs pool without store") full pooled
+
+(* Kill/resume under the Remote Optimizer: compile stalls are charged at
+   each rating's fold position, replayed ratings included, so a session
+   aborted from its progress callback resumes to the uninterrupted
+   ledger — and both equal a run without a store. *)
+exception Killed
+
+let test_compile_resume () =
+  with_tmpdir @@ fun root ->
+  let b = bench "SWIM" and machine = Machine.pentium4 in
+  let method_ = Method.Cbr and compile = (Optimizer.Remote, 0.002) in
+  let meta = meta_for ~method_ ~strategy:Strategy.Ie b machine in
+  let tune ?progress dir =
+    let session = Result.get_ok (Session.open_ ~dir ~meta ()) in
+    Fun.protect
+      ~finally:(fun () -> Session.close session)
+      (fun () ->
+        Driver.tune ~seed:11 ~method_ ~compile ?progress ~store:session b machine Trace.Train)
+  in
+  let full = tune (Filename.concat root "full") in
+  let dir = Filename.concat root "killed" in
+  (match tune ~progress:(fun ~ratings ~fresh:_ -> if ratings >= 30 then raise Killed) dir with
+  | _ -> Alcotest.fail "session outlived its kill"
+  | exception Killed -> ());
+  check_identical "remote-compile resume vs uninterrupted" full (tune dir);
+  check_identical "store vs no store" full
+    (Driver.tune ~seed:11 ~method_ ~compile b machine Trace.Train)
 
 (* Kill/resume across a fallback decision: a starved rating budget
    (max_invocations below the convergence window) makes every absolute
@@ -825,10 +851,10 @@ let resume_case ~bname ~method_ () =
 let test_fallback_resume () =
   with_tmpdir @@ fun root ->
   let b = bench "MGRID" and machine = Machine.sparc2 in
-  let search = Driver.Be in
+  let strategy = Strategy.Be in
   let rating_params = { Rating.default_params with Rating.max_invocations = 30 } in
   let meta =
-    Driver.session_meta ~seed:11 ~search ~rating_params b machine Trace.Train
+    Driver.session_meta ~seed:11 ~strategy ~rating_params b machine Trace.Train
   in
   let id = meta.Codec.m_id in
   let full_dir = Filename.concat root "full" in
@@ -836,7 +862,7 @@ let test_fallback_resume () =
   let full =
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~seed:11 ~search ~rating_params ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~seed:11 ~strategy ~rating_params ~store:session b machine Trace.Train)
   in
   Alcotest.(check bool) "starved budget forced a fallback" true
     (List.length full.Driver.attempts > 1);
@@ -862,7 +888,7 @@ let test_fallback_resume () =
           ~finally:(fun () -> Session.close session)
           (fun () ->
             let tune pool =
-              Driver.tune ~seed:11 ~search ~rating_params ?pool ~store:session b machine
+              Driver.tune ~seed:11 ~strategy ~rating_params ?pool ~store:session b machine
                 Trace.Train
             in
             if domains > 1 then Pool.run ~domains (fun p -> tune (Some p)) else tune None)
@@ -928,76 +954,39 @@ let fabricate_session ?(gain = 0.9) dir ~benchmark ~machine ~seed ~best =
     };
   Session.close s
 
+(* [tune --warm --store DIR] is [--kb] over the store's own corpus: its
+   start is the top Knowledge.recommend row of a KB built from DIR —
+   and of two configs a donor recorded, the better-performing one wins,
+   not the one from the smaller session id. *)
 let test_warmstart () =
   with_tmpdir @@ fun dir ->
-  (match Warmstart.propose ~dir ~benchmark:"FOO" ~machine:"M1" with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "proposal from an empty store"
-  | Error e -> Alcotest.fail e);
+  let machine = Machine.pentium4 in
+  let kb () =
+    match Knowledge.build ~dir with Ok kb -> kb | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "no start from an empty store" true
+    (Knowledge.start (kb ()) (bench "MGRID") machine = None);
   let drop idxs =
     List.fold_left (fun c i -> Optconfig.disable c Flags.all.(i)) Optconfig.o3 idxs
   in
-  let foo_best = drop [ 0; 1 ] in
-  let bar_best = drop [ 0; 1; 2 ] in
-  (* BAR's signature is one flag away from FOO's; BAZ is far off *)
-  fabricate_session dir ~benchmark:"FOO" ~machine:"M1" ~seed:1 ~best:foo_best;
-  fabricate_session dir ~benchmark:"BAR" ~machine:"M1" ~seed:1 ~best:bar_best;
-  fabricate_session dir ~benchmark:"BAZ" ~machine:"M1" ~seed:1 ~best:Optconfig.o0;
-  fabricate_session dir ~benchmark:"BAZ" ~machine:"M1" ~seed:2 ~best:Optconfig.o0;
-  (match Warmstart.propose ~dir ~benchmark:"FOO" ~machine:"M1" with
-  | Ok (Some p) ->
-      (* benchmark names are normalized to lower case in proposals *)
-      Alcotest.(check string) "nearest neighbor is BAR" "bar" p.Warmstart.neighbor;
-      Alcotest.(check bool) "proposes BAR's best" true
-        (Optconfig.equal p.Warmstart.start bar_best);
-      (match p.Warmstart.origin with
-      | Warmstart.Nearest_neighbor d ->
-          Alcotest.(check bool) "positive distance" true (d > 0.0)
-      | Warmstart.Most_frequent -> Alcotest.fail "expected a nearest-neighbor origin")
-  | Ok None -> Alcotest.fail "no proposal despite history"
-  | Error e -> Alcotest.fail e);
-  (* a benchmark with no history of its own gets the modal best config:
-     BAZ's -O0 won twice, everything else once *)
-  match Warmstart.propose ~dir ~benchmark:"QUUX" ~machine:"M1" with
-  | Ok (Some p) ->
-      (match p.Warmstart.origin with
-      | Warmstart.Most_frequent -> ()
-      | Warmstart.Nearest_neighbor _ -> Alcotest.fail "expected the modal fallback");
-      Alcotest.(check bool) "modal best config" true
-        (Optconfig.equal p.Warmstart.start Optconfig.o0)
-  | Ok None -> Alcotest.fail "no fallback proposal"
-  | Error e -> Alcotest.fail e
-
-(* Regression: with several recorded configs for the same neighbor, the
-   proposal must be the one with the best recorded speedup — not the one
-   from the smallest session id, which is what the pre-KB fold returned
-   (fold_left over id-sorted sessions kept the first config seen). *)
-let test_warmstart_prefers_better_speedup () =
-  with_tmpdir @@ fun dir ->
-  let drop idxs =
-    List.fold_left (fun c i -> Optconfig.disable c Flags.all.(i)) Optconfig.o3 idxs
-  in
-  let target_best = drop [ 0; 1 ] in
-  let poor = drop [ 0; 1; 2 ] in
-  let good = drop [ 0; 1; 3 ] in
-  fabricate_session dir ~benchmark:"FOO" ~machine:"M1" ~seed:1 ~best:target_best;
-  (* BAR tuned twice: the earlier session (smaller id) found a config
-     worth 1.11x, the later one a config worth 2x *)
-  fabricate_session dir ~benchmark:"BAR" ~machine:"M1" ~seed:1 ~best:poor ~gain:0.1;
-  fabricate_session dir ~benchmark:"BAR" ~machine:"M1" ~seed:2 ~best:good ~gain:0.5;
-  match Warmstart.propose ~dir ~benchmark:"FOO" ~machine:"M1" with
-  | Ok (Some p) ->
-      Alcotest.(check string) "neighbor is BAR" "bar" p.Warmstart.neighbor;
+  let poor = drop [ 0; 1; 2 ] and good = drop [ 0; 1; 3 ] in
+  (* ART tuned twice: the earlier session found a config worth 1.11x,
+     the later one a config worth 2x *)
+  fabricate_session dir ~benchmark:"ART" ~machine:machine.Machine.name ~seed:1 ~best:poor
+    ~gain:0.1;
+  fabricate_session dir ~benchmark:"ART" ~machine:machine.Machine.name ~seed:2 ~best:good
+    ~gain:0.5;
+  let kb = kb () in
+  match
+    ( Knowledge.start kb (bench "MGRID") machine,
+      Knowledge.recommend kb ~benchmark:"MGRID" ~machine:machine.Machine.name () )
+  with
+  | Some r, top :: _ ->
+      Alcotest.(check bool) "warm start is the top recommendation" true
+        (Optconfig.equal r.Kb.rec_config top.Kb.rec_config);
       Alcotest.(check bool) "the better-performing config wins" true
-        (Optconfig.equal p.Warmstart.start good)
-  | Ok None -> Alcotest.fail "no proposal despite history"
-  | Error e -> Alcotest.fail e
-
-let test_mean_vector_empty_raises () =
-  (* NaN guard: the mean of zero vectors used to be 0/0 per component *)
-  match Warmstart.mean_vector [] with
-  | exception Invalid_argument _ -> ()
-  | v -> Alcotest.failf "mean of nothing produced a %d-vector" (Array.length v)
+        (Optconfig.equal r.Kb.rec_config good)
+  | _ -> Alcotest.fail "no warm start despite history"
 
 (* ------------------------------------------------------------------ *)
 
@@ -1043,13 +1032,7 @@ let suites =
           (resume_case ~bname:"ART" ~method_:Method.Rbr);
         Alcotest.test_case "kill/resume across a fallback decision" `Slow
           test_fallback_resume;
+        Alcotest.test_case "kill/resume with compiles" `Slow test_compile_resume;
       ] );
-    ( "store.warmstart",
-      [
-        Alcotest.test_case "warm start proposals" `Quick test_warmstart;
-        Alcotest.test_case "better-performing neighbor config wins" `Quick
-          test_warmstart_prefers_better_speedup;
-        Alcotest.test_case "mean_vector of nothing raises" `Quick
-          test_mean_vector_empty_raises;
-      ] );
+    ("store.warmstart", [ Alcotest.test_case "warm start proposals" `Quick test_warmstart ]);
   ]
