@@ -1175,11 +1175,19 @@ let bytes_per_call f n =
   in
   Float.min (once ()) (Float.min (once ()) (once ()))
 
-(* The same three probes measured on this harness before the slot
-   compiler / scratch-buffer refactor (string-keyed environment,
-   allocating summarize) — the "before" column of BENCH_alloc.json. *)
+(* The "before" column of BENCH_alloc.json: the first three probes
+   measured on this harness before the slot compiler / scratch-buffer
+   refactor (string-keyed environment, allocating summarize); for
+   runner_replay, a rating runner's step before rating runners shared
+   the session tape — each interpreted on its own, at runner_step's
+   cost. *)
 let alloc_before =
-  [ ("interp_step", 61907.7); ("rating_window", 105913.0); ("runner_step", 271011.1) ]
+  [
+    ("interp_step", 61907.7);
+    ("rating_window", 105913.0);
+    ("runner_step", 271011.1);
+    ("runner_replay", 4212.7);
+  ]
 
 (* Figure-2 shape: a loop-body component plus a tail component. *)
 let alloc_loop_ts =
@@ -1230,11 +1238,25 @@ let alloc_exp () =
   let runner = Runner.create ~seed:3 tsec trace Machine.sparc2 in
   let version = Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3 in
   let runner_step = bytes_per_call (fun () -> Runner.step runner version) 2000 in
+  (* runner_replay: the same step on an ordinal a shared tape has
+     already recorded — a rating runner following another through the
+     session tape reads the recorded result instead of interpreting *)
+  let tape =
+    Tape.shared tsec ~name:trace.Trace.name ~length:trace.Trace.length (fun () ->
+        b.Benchmark.trace Trace.Train ~seed:3)
+  in
+  let lead = Runner.of_tape ~seed:3 tape Machine.sparc2 in
+  for _ = 1 to (3 * 2000) + 2 do
+    ignore (Runner.step lead version)
+  done;
+  let follower = Runner.of_tape ~seed:4 tape Machine.sparc2 in
+  let runner_replay = bytes_per_call (fun () -> Runner.step follower version) 2000 in
   let after =
     [
       ("interp_step", interp_step);
       ("rating_window", rating_window);
       ("runner_step", runner_step);
+      ("runner_replay", runner_replay);
     ]
   in
   let budgets =

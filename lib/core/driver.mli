@@ -9,11 +9,16 @@
     non-TS portion of each program run — is charged to the tuning-time
     ledger.
 
-    There is one rating scheme.  Each rating runs on its own runner,
-    seeded from the tuning seed, the candidate's batch index and the
-    configuration's identity (and, for relative methods, the base's), so
-    a rating never depends on which domain ran it or on what was rated
-    before it.  A batch of candidates runs concurrently on the pool
+    There is one rating scheme, with one interpretation per session.
+    Each rating runs on its own runner, seeded from the tuning seed, the
+    candidate's batch index and the configuration's identity (and, for
+    relative methods, the base's), so a rating never depends on which
+    domain ran it or on what was rated before it.  Every runner of the
+    session — ratings, probes and the fault oracle — reads one shared
+    {!Tape} over a fresh copy of the trace: each invocation ordinal is
+    interpreted once, whichever rating reaches it first, and every other
+    rating replays the recorded counts under its own noise and memory
+    state.  A batch of candidates runs concurrently on the pool
     ([List.map] without one), and the outcomes are folded into the
     session in submission order.  At that fold:
     - the ledger charges each job's executions, and the compile stall
@@ -263,4 +268,6 @@ val improvement_pct :
   Peak_workload.Trace.dataset ->
   float
 (** Whole-program improvement of [best] over -O3 in percent —
-    [ (T(-O3)/T(best) - 1) · 100 ], the quantity of Figure 7 (a)/(b). *)
+    [ (T(-O3)/T(best) - 1) · 100 ], the quantity of Figure 7 (a)/(b).
+    Bit-identical to computing both [T]s with {!evaluate_program_cycles},
+    but the -O3 pass both need runs once. *)

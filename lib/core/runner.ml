@@ -1,7 +1,6 @@
 open Peak_util
 open Peak_ir
 open Peak_machine
-open Peak_workload
 
 type sample = {
   index : int;
@@ -26,17 +25,14 @@ let () =
     | _ -> None)
 
 type t = {
+  tape : Tape.t;
   tsec : Tsection.t;
-  trace : Trace.t;
+  length : int;
   machine : Machine.t;
   memsys : Memsys.t;
   noise : Noise.t;
   perturb_rng : Rng.t;
-  env : Interp.env;
-  compiled : Interp.compiled;
-  scratch : Interp.scratch;
   array_bytes : (string * int) list;
-  class_cache : (int, Interp.result) Hashtbl.t;
   context_switch_rate : float;
   timer_overhead : float;
   save_words : int;
@@ -48,15 +44,14 @@ type t = {
   mutable passes : int;
   mutable invocations : int;
   mutable tuning_cycles : float;
-  mutable interp_steps : int;
   mutable initialized : bool;
 }
 
-let create ?(seed = 42) ?(context_switch_rate = 0.02) ?faults ?(fault_attempt = 0)
-    ?invocation_budget tsec trace machine =
+let of_tape ?(seed = 42) ?(context_switch_rate = 0.02) ?faults ?(fault_attempt = 0)
+    ?invocation_budget tape machine =
   (* fold the trace identity into the seed: distinct benchmarks must not
      share a measurement-noise stream *)
-  let root = Rng.create ~seed:(seed + (Hashtbl.hash trace.Trace.name * 7919)) in
+  let root = Rng.create ~seed:(seed + (Hashtbl.hash (Tape.name tape) * 7919)) in
   let noise_rng = Rng.split root in
   let perturb_rng = Rng.split root in
   (* a noise-free machine (used by deterministic evaluation) also turns
@@ -70,28 +65,22 @@ let create ?(seed = 42) ?(context_switch_rate = 0.02) ?faults ?(fault_attempt = 
   let invocation_budget =
     match (invocation_budget, faults) with
     | Some b, _ ->
-        if b <= 0.0 then invalid_arg "Runner.create: invocation_budget must be positive";
+        if b <= 0.0 then invalid_arg "Runner: invocation_budget must be positive";
         b
     | None, Some _ -> 1e8
     | None, None -> infinity
   in
-  (* compile once against this runner's environment; every invocation
-     reuses the same instruction arrays and scratch *)
-  let env = Interp.make_env tsec.Tsection.ts in
-  let compiled = Interp.compile tsec.Tsection.cfg env in
+  let tsec = Tape.tsection tape in
   {
+    tape;
     tsec;
-    trace;
+    length = Tape.length tape;
     machine;
     memsys = Memsys.create ?rng:memsys_rng machine;
     noise = Noise.create ~rng:noise_rng machine;
     perturb_rng;
-    env;
-    compiled;
-    scratch = Interp.make_scratch compiled;
     array_bytes =
       List.map (fun (a, n) -> (a, 8 * n)) tsec.Tsection.ts.Peak_ir.Types.arrays;
-    class_cache = Hashtbl.create 16;
     context_switch_rate;
     timer_overhead = 40.0;
     save_words = (Tsection.save_restore_bytes tsec + 7) / 8;
@@ -103,47 +92,34 @@ let create ?(seed = 42) ?(context_switch_rate = 0.02) ?faults ?(fault_attempt = 
     passes = 0;
     invocations = 0;
     tuning_cycles = 0.0;
-    interp_steps = 0;
     initialized = false;
   }
+
+let create ?seed ?context_switch_rate ?faults ?fault_attempt ?invocation_budget tsec trace
+    machine =
+  of_tape ?seed ?context_switch_rate ?faults ?fault_attempt ?invocation_budget
+    (Tape.of_trace tsec trace) machine
 
 let machine t = t.machine
 let tsection t = t.tsec
 
-(* Move to the next invocation: handle pass wrap, program init, the
-   occasional cache-flushing perturbation, and the trace's setup. *)
+(* Move to the next invocation: handle pass wrap, the occasional
+   cache-flushing perturbation, and the tape's set-up of the ordinal
+   (program init at a pass boundary, then the trace's setup). *)
 let advance t =
-  if (not t.initialized) || t.pos >= t.trace.Trace.length then begin
-    t.trace.Trace.init t.env;
+  if (not t.initialized) || t.pos >= t.length then begin
     Memsys.flush t.memsys;
     if t.initialized then t.passes <- t.passes + 1 else t.passes <- 1;
     t.initialized <- true;
     t.pos <- 0
   end;
   if Rng.float t.perturb_rng < t.context_switch_rate then Memsys.flush t.memsys;
-  t.trace.Trace.setup t.pos t.env;
+  Tape.seek t.tape t.invocations;
   t.invocations <- t.invocations + 1;
   t.pos <- t.pos + 1
 
-let interp_result t =
-  let index = t.pos - 1 in
-  let run () =
-    Interp.run_compiled t.compiled t.scratch;
-    t.interp_steps <- t.interp_steps + Interp.scratch_steps t.scratch;
-    (* fresh snapshot: the counts array escapes into samples and the
-       class cache, so it must not alias the reused scratch *)
-    Interp.result_of_scratch t.compiled t.scratch
-  in
-  match t.trace.Trace.class_of with
-  | None -> run ()
-  | Some class_of -> (
-      let k = class_of index in
-      match Hashtbl.find_opt t.class_cache k with
-      | Some r -> r
-      | None ->
-          let r = run () in
-          Hashtbl.add t.class_cache k r;
-          r)
+(* The ordinal [advance] just set up. *)
+let interp_result t = Tape.result t.tape (t.invocations - 1)
 
 let accesses_of t (r : Interp.result) =
   List.filter_map
@@ -219,8 +195,7 @@ let fault_check t version (r : Interp.result) =
           fail t Crashed version
       | Some Peak_sim.Fault.Hang -> hang t version)
 
-let read_context t sources =
-  Array.of_list (List.map (Interp.read_source t.env) sources)
+let read_context t sources = Tape.context t.tape (t.invocations - 1) sources
 
 let step ?(context = []) t version =
   advance t;
@@ -248,13 +223,13 @@ let step_choose ~context t choose =
   { index = t.pos - 1; time; counts = r.Interp.block_counts; context = ctx }
 
 (* Cycles to copy the modified-input set once (a load+store per word).
-   The payload is measured against the live environment, so symbolic
+   The payload is measured after the invocation ran, so symbolic
    store spans (the Section 2.4.2 range-analysis optimization) shrink the
    copy to the cells the invocation can actually write.  [use_ranges]
    exists for the ablation that runs without the optimization. *)
 let copy_cycles ?(use_ranges = true) t =
   let words =
-    if use_ranges then (Snapshot.measure_bytes t.tsec t.env + 7) / 8 else t.save_words
+    if use_ranges then (Tape.payload t.tape (t.invocations - 1) + 7) / 8 else t.save_words
   in
   float_of_int words *. 2.0 *. t.machine.Machine.l1_hit_cycles
 
@@ -318,8 +293,8 @@ let charge_overhead t c = t.tuning_cycles <- t.tuning_cycles +. c
 
 let run_full_pass t version =
   let total = ref 0.0 in
-  let remaining = t.trace.Trace.length - t.pos in
-  let n = if t.initialized && remaining > 0 then remaining else t.trace.Trace.length in
+  let remaining = t.length - t.pos in
+  let n = if t.initialized && remaining > 0 then remaining else t.length in
   for _ = 1 to n do
     let s = step t version in
     total := !total +. s.time
@@ -354,4 +329,4 @@ let invocations_consumed t = t.invocations
 let passes_started t = t.passes
 let tuning_cycles t = t.tuning_cycles
 let tuning_seconds t = Machine.seconds_of_cycles t.machine t.tuning_cycles
-let interp_steps_hint t = t.interp_steps
+let interp_steps_hint t = Tape.steps t.tape

@@ -2,13 +2,17 @@
     trace under dynamically swapped code versions, the way PEAK's
     instrumented application does during tuning (Section 4.2).
 
-    The runner owns the simulated machine state (memory system, noise
-    stream) and the tuning-time ledger.  All raters consume invocations
-    through {!step} (one timed execution of one version) or {!step_pair}
-    (RBR's save / precondition / restore / time / restore / time
-    sequence).  Interpreter results are cached per workload class when
-    the trace declares classes, which is what makes whole-search sweeps
-    cheap for regular codes.
+    The runner is a timing layer over a {!Tape}: the tape interprets each
+    invocation once (its class cache reusing results when the trace
+    declares classes), and the runner turns the recorded block counts
+    into a version's time.  The runner owns the simulated machine state
+    (memory system, noise stream, perturbation draws), the fault plan,
+    the tuning-time ledger and the pass bookkeeping.  All raters consume
+    invocations through {!step} (one timed execution of one version) or
+    {!step_pair} (RBR's save / precondition / restore / time / restore /
+    time sequence).  Runners that share a tape — a tuning session's
+    ratings — read one interpretation per invocation ordinal, and each
+    produces the samples it would on a tape of its own.
 
     Pass boundaries rerun the trace initializer and flush the memory
     system (a fresh program run starts cold).  Mid-pass, rare simulated
@@ -51,7 +55,10 @@ val create :
   Peak_workload.Trace.t ->
   Peak_machine.Machine.t ->
   t
-(** [context_switch_rate] is the per-invocation probability of a
+(** A runner on a private tape over [trace] ({!Tape.of_trace}), which it
+    consumes.
+
+    [context_switch_rate] is the per-invocation probability of a
     cache-flushing perturbation (default 0.02).
 
     [faults] subjects every execution to the fault plan: config-keyed
@@ -65,6 +72,19 @@ val create :
     execution that exceeds it raises [Failed Hung] with the budget
     charged to the ledger.  Defaults to infinity without [faults] (the
     pre-fault runner, bit-identical) and to [1e8] cycles with them. *)
+
+val of_tape :
+  ?seed:int ->
+  ?context_switch_rate:float ->
+  ?faults:Peak_sim.Fault.t ->
+  ?fault_attempt:int ->
+  ?invocation_budget:float ->
+  Tape.t ->
+  Peak_machine.Machine.t ->
+  t
+(** A runner reading [tape] from ordinal 0, with {!create}'s options.
+    On a {!Tape.shared} tape its samples, times, contexts and ledger
+    equal those of a runner created on a fresh copy of the trace. *)
 
 val machine : t -> Peak_machine.Machine.t
 val tsection : t -> Tsection.t
@@ -133,5 +153,6 @@ val tuning_cycles : t -> float
 val tuning_seconds : t -> float
 
 val interp_steps_hint : t -> int
-(** Total interpreter block entries executed (cache misses only) —
-    exposed for performance tests. *)
+(** Interpreter block entries executed by the runner's tape ({!Tape.steps}):
+    class-cache misses only, and on a shared tape every reader's
+    interpretations together — exposed for performance tests. *)

@@ -4,7 +4,14 @@
     initializer that fills the environment once (program startup), and a
     per-invocation setup that writes the values the enclosing program
     would have computed before calling the TS — the invocation's
-    {e context}.  Traces are deterministic in their seed.
+    {e context}.
+
+    A trace is a single-use generator, not merely deterministic in its
+    seed: its closures may carry state across calls (MCF's setup
+    advances an RNG the trace captured; [Drift.apply]'s [init] latches
+    scalars into a [ref]).  Two environments driven by one trace may
+    therefore diverge; a consumer that needs the stream again builds a
+    fresh trace from the same seed, which replays it bit-identically.
 
     [classes]: when the trace knows that two invocations present exactly
     the same workload (same context, hence same block counts), it labels

@@ -65,6 +65,38 @@ let test_summarize_into_budget () =
       Alcotest.failf "summarize_into allocates %.1f bytes/window (budget 64)" per_call
   end
 
+(* A rating runner following another through a shared tape reads the
+   recorded interpretation and pays for timing only: about half the
+   bytes of an interpreting step (budget 4096, as in
+   ci/alloc_budget.json). *)
+let test_runner_replay_budget () =
+  if native then begin
+    let open Peak_workload in
+    let b = Option.get (Registry.by_name "ART") in
+    let tsec = Peak.Tsection.make b.Benchmark.ts in
+    let build () = b.Benchmark.trace Trace.Train ~seed:3 in
+    let probe = build () in
+    let tape =
+      Peak.Tape.shared tsec ~name:probe.Trace.name ~length:probe.Trace.length build
+    in
+    let machine = Peak_machine.Machine.sparc2 in
+    let version =
+      Peak_compiler.Version.compile machine tsec.Peak.Tsection.features Peak_compiler.Optconfig.o3
+    in
+    let n = 500 in
+    let lead = Peak.Runner.of_tape ~seed:3 tape machine in
+    for _ = 1 to (3 * n) + 2 do
+      ignore (Peak.Runner.step lead version)
+    done;
+    let follower = Peak.Runner.of_tape ~seed:4 tape machine in
+    let interpreted = Peak.Tape.interpreted tape in
+    let per_call = bytes_per_call (fun () -> Peak.Runner.step follower version) n in
+    Alcotest.(check int) "the follower interpreted nothing" interpreted
+      (Peak.Tape.interpreted tape);
+    if per_call > 4096.0 then
+      Alcotest.failf "a replayed Runner.step allocates %.1f bytes (budget 4096)" per_call
+  end
+
 let suites =
   [
     ( "alloc",
@@ -73,5 +105,7 @@ let suites =
           test_interp_steady_state_zero_alloc;
         Alcotest.test_case "summarize_into stays within budget" `Quick
           test_summarize_into_budget;
+        Alcotest.test_case "replayed runner step stays within budget" `Quick
+          test_runner_replay_budget;
       ] );
   ]
