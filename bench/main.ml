@@ -267,10 +267,11 @@ let ablation_search () =
   let t =
     Table.create ~header:[ "Search"; "Improvement %"; "Ratings"; "Tuning s" ] ()
   in
+  let on_ref = Driver.pass_summary b Machine.pentium4 Trace.Ref in
   List.iter
     (fun (label, algo) ->
       let r = Driver.tune ~strategy:algo ~method_:Method.Mbr b Machine.pentium4 Trace.Train in
-      let imp = Driver.improvement_pct b Machine.pentium4 ~best:r.Driver.best_config Trace.Ref in
+      let imp = Driver.summary_improvement_pct on_ref ~best:r.Driver.best_config in
       Table.add_row t
         [
           label;
@@ -444,14 +445,14 @@ let flag_effects () =
       (fun (b : Benchmark.t) -> List.map (fun m -> (b, m)) machines)
       Registry.figure7
   in
-  let rip b machine f =
-    let best = Optconfig.disable Optconfig.o3 f in
-    Driver.improvement_pct b machine ~best Trace.Train
+  let summaries = List.map (fun (b, m) -> Driver.pass_summary b m Trace.Train) cells in
+  let rip summary f =
+    Driver.summary_improvement_pct summary ~best:(Optconfig.disable Optconfig.o3 f)
   in
   let rows =
     Array.to_list Flags.all
     |> List.filter_map (fun f ->
-           let values = List.map (fun (b, m) -> rip b m f) cells in
+           let values = List.map (fun s -> rip s f) summaries in
            if List.exists (fun v -> abs_float v >= 0.5) values then Some (f, values) else None)
   in
   let header =
@@ -1180,13 +1181,15 @@ let bytes_per_call f n =
    refactor (string-keyed environment, allocating summarize); for
    runner_replay, a rating runner's step before rating runners shared
    the session tape — each interpreted on its own, at runner_step's
-   cost. *)
+   cost; for version_compile, the same compile while the flag model
+   still looked every flag up by name. *)
 let alloc_before =
   [
     ("interp_step", 61907.7);
     ("rating_window", 105913.0);
     ("runner_step", 271011.1);
     ("runner_replay", 4212.7);
+    ("version_compile", 1058626.4);
   ]
 
 (* Figure-2 shape: a loop-body component plus a tail component. *)
@@ -1251,12 +1254,21 @@ let alloc_exp () =
   done;
   let follower = Runner.of_tape ~seed:4 tape Machine.sparc2 in
   let runner_replay = bytes_per_call (fun () -> Runner.step follower version) 2000 in
+  (* version_compile: pricing ART's section under -O3 — what a search
+     pays once per distinct configuration, and evaluation once per
+     configuration it prices *)
+  let version_compile =
+    bytes_per_call
+      (fun () -> Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3)
+      2000
+  in
   let after =
     [
       ("interp_step", interp_step);
       ("rating_window", rating_window);
       ("runner_step", runner_step);
       ("runner_replay", runner_replay);
+      ("version_compile", version_compile);
     ]
   in
   let budgets =
@@ -1647,6 +1659,7 @@ let search_exp () =
         let domains_identical =
           List.for_all (fun (_, r) -> String.equal (serialized r) staged_json) staged_runs
         in
+        let on_ref = Driver.pass_summary b machine Trace.Ref in
         let scored =
           List.map
             (fun strategy ->
@@ -1654,7 +1667,7 @@ let search_exp () =
                 if strategy = Strategy.Staged then staged
                 else Driver.tune ~seed ~strategy ~method_ b machine Trace.Train
               in
-              (strategy, r, Driver.improvement_pct b machine ~best:r.Driver.best_config Trace.Ref))
+              (strategy, r, Driver.summary_improvement_pct on_ref ~best:r.Driver.best_config))
             Strategy.all
         in
         let best = List.fold_left (fun acc (_, _, imp) -> Float.max acc imp) neg_infinity scored in
@@ -1816,6 +1829,7 @@ let kb_exp () =
       (Hashtbl.fold (fun n d acc -> (n, d) :: acc) tbl [])
   in
   let sizes = [ 0; 4; 8; List.length donors ] in
+  let on_ref = Driver.pass_summary target machine Trace.Ref in
   let curve =
     List.map
       (fun size ->
@@ -1833,7 +1847,7 @@ let kb_exp () =
           if size = 0 then Driver.tune ~seed ~method_ target machine Trace.Train
           else Driver.tune ~seed ~method_ ~kb target machine Trace.Train
         in
-        let imp = Driver.improvement_pct target machine ~best:r.Driver.best_config Trace.Ref in
+        let imp = Driver.summary_improvement_pct on_ref ~best:r.Driver.best_config in
         (size, r.Driver.search_stats.Search.ratings, imp))
       sizes
   in

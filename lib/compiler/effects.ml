@@ -5,6 +5,49 @@ let flag name =
   | Some f -> f
   | None -> invalid_arg ("Effects: unknown flag " ^ name)
 
+(* The flags the model consults, resolved once at module load: a
+   compile tests bits, never names. *)
+module F = struct
+  let defer_pop = flag "defer-pop"
+  let merge_constants = flag "merge-constants"
+  let thread_jumps = flag "thread-jumps"
+  let loop_optimize = flag "loop-optimize"
+  let if_conversion = flag "if-conversion"
+  let if_conversion2 = flag "if-conversion2"
+  let delayed_branch = flag "delayed-branch"
+  let guess_branch_probability = flag "guess-branch-probability"
+  let cprop_registers = flag "cprop-registers"
+  let omit_frame_pointer = flag "omit-frame-pointer"
+  let force_mem = flag "force-mem"
+  let optimize_sibling_calls = flag "optimize-sibling-calls"
+  let strength_reduce = flag "strength-reduce"
+  let cse_follow_jumps = flag "cse-follow-jumps"
+  let cse_skip_blocks = flag "cse-skip-blocks"
+  let gcse = flag "gcse"
+  let gcse_lm = flag "gcse-lm"
+  let gcse_sm = flag "gcse-sm"
+  let rerun_cse_after_loop = flag "rerun-cse-after-loop"
+  let rerun_loop_opt = flag "rerun-loop-opt"
+  let expensive_optimizations = flag "expensive-optimizations"
+  let schedule_insns = flag "schedule-insns"
+  let schedule_insns2 = flag "schedule-insns2"
+  let sched_interblock = flag "sched-interblock"
+  let sched_spec = flag "sched-spec"
+  let regmove = flag "regmove"
+  let strict_aliasing = flag "strict-aliasing"
+  let delete_null_pointer_checks = flag "delete-null-pointer-checks"
+  let reorder_blocks = flag "reorder-blocks"
+  let reorder_functions = flag "reorder-functions"
+  let align_functions = flag "align-functions"
+  let align_jumps = flag "align-jumps"
+  let align_loops = flag "align-loops"
+  let align_labels = flag "align-labels"
+  let caller_saves = flag "caller-saves"
+  let peephole2 = flag "peephole2"
+  let inline_functions = flag "inline-functions"
+  let rename_registers = flag "rename-registers"
+end
+
 (* Model constants, named so the bench calibration and the ablation
    discussion can refer to them. *)
 module K = struct
@@ -40,18 +83,19 @@ type ctx = {
   machine : Machine.t;
   ts : Peak_ir.Features.ts;
   config : Optconfig.t;
-  on : string -> bool;
   amplify : float;
 }
 
+let on ctx f = Optconfig.is_enabled ctx.config f
+
 let make_ctx machine ts config =
-  let on name = Optconfig.is_enabled config (flag name) in
   {
     machine;
     ts;
     config;
-    on;
-    amplify = (if on "expensive-optimizations" then K.expensive_amplifier else 1.0);
+    amplify =
+      (if Optconfig.is_enabled config F.expensive_optimizations then K.expensive_amplifier
+       else 1.0);
   }
 
 (* Mutable working copy of one block's state under optimization. *)
@@ -82,33 +126,33 @@ let work_of_block (b : Peak_ir.Features.block) =
   }
 
 let apply_scalar_cleanups ctx w =
-  if ctx.on "cprop-registers" then w.alu <- w.alu *. 0.97;
-  if ctx.on "regmove" then begin
+  if on ctx F.cprop_registers then w.alu <- w.alu *. 0.97;
+  if on ctx F.regmove then begin
     w.alu <- w.alu *. 0.98;
     w.pressure <- Float.max 0.0 (w.pressure -. 0.5)
   end;
-  if ctx.on "peephole2" then begin
+  if on ctx F.peephole2 then begin
     w.alu <- w.alu *. 0.97;
     w.mem <- w.mem *. 0.99
   end;
-  if ctx.on "merge-constants" then w.mem <- w.mem *. 0.995;
-  if ctx.on "defer-pop" then w.overhead <- Float.max 0.0 (w.overhead -. 0.05);
-  if ctx.on "force-mem" then begin
+  if on ctx F.merge_constants then w.mem <- w.mem *. 0.995;
+  if on ctx F.defer_pop then w.overhead <- Float.max 0.0 (w.overhead -. 0.05);
+  if on ctx F.force_mem then begin
     w.alu <- w.alu *. 0.97;
     w.pressure <- w.pressure +. 0.5
   end;
-  if ctx.on "delete-null-pointer-checks" && w.mem > 0.0 then
+  if on ctx F.delete_null_pointer_checks && w.mem > 0.0 then
     w.alu <- Float.max 0.0 (w.alu -. 0.2);
-  if ctx.on "reorder-functions" then w.overhead <- w.overhead *. 0.995
+  if on ctx F.reorder_functions then w.overhead <- w.overhead *. 0.995
 
 let apply_cse ctx (b : Peak_ir.Features.block) w =
   let power = ref 0.0 in
-  if ctx.on "cse-follow-jumps" then power := !power +. K.cse_follow_jumps;
-  if ctx.on "cse-skip-blocks" then power := !power +. K.cse_skip_blocks;
-  if ctx.on "gcse" then power := !power +. K.gcse;
+  if on ctx F.cse_follow_jumps then power := !power +. K.cse_follow_jumps;
+  if on ctx F.cse_skip_blocks then power := !power +. K.cse_skip_blocks;
+  if on ctx F.gcse then power := !power +. K.gcse;
   if
-    ctx.on "rerun-cse-after-loop" && b.loop_depth > 0
-    && (ctx.on "gcse" || ctx.on "cse-follow-jumps")
+    on ctx F.rerun_cse_after_loop && b.loop_depth > 0
+    && (on ctx F.gcse || on ctx F.cse_follow_jumps)
   then power := !power +. K.rerun_cse;
   let fraction = Float.min 0.9 (!power *. ctx.amplify) in
   if fraction > 0.0 && b.redundancy > 0 then begin
@@ -123,26 +167,26 @@ let apply_cse ctx (b : Peak_ir.Features.block) w =
     end;
     w.pressure <- w.pressure +. (eliminated *. K.cse_pressure_per_op)
   end;
-  if ctx.on "gcse" && b.loop_depth > 0 then begin
-    if ctx.on "gcse-lm" then w.mem <- w.mem *. 0.93;
-    if ctx.on "gcse-sm" then w.mem <- w.mem *. 0.97
+  if on ctx F.gcse && b.loop_depth > 0 then begin
+    if on ctx F.gcse_lm then w.mem <- w.mem *. 0.93;
+    if on ctx F.gcse_sm then w.mem <- w.mem *. 0.97
   end
 
 let apply_loop ctx (b : Peak_ir.Features.block) w =
   if b.loop_depth > 0 || b.is_loop_header then begin
-    if ctx.on "loop-optimize" then begin
+    if on ctx F.loop_optimize then begin
       w.overhead <- w.overhead *. K.loop_overhead_cut;
       w.alu <- w.alu *. K.invariant_motion;
       w.pressure <- w.pressure +. 0.5;
-      if ctx.on "rerun-loop-opt" then w.alu <- w.alu *. 0.985
+      if on ctx F.rerun_loop_opt then w.alu <- w.alu *. 0.985
     end;
-    if ctx.on "strength-reduce" && w.muldiv > 0.0 then begin
+    if on ctx F.strength_reduce && w.muldiv > 0.0 then begin
       let moved = w.muldiv *. K.strength_reduce_moved in
       w.muldiv <- w.muldiv -. moved;
       w.alu <- w.alu +. moved;
       w.pressure <- w.pressure +. 0.5
     end;
-    if ctx.on "align-loops" && b.is_loop_header then
+    if on ctx F.align_loops && b.is_loop_header then
       w.overhead <- Float.max 0.0 (w.overhead -. 0.05)
   end
 
@@ -151,7 +195,7 @@ let apply_branches ctx (b : Peak_ir.Features.block) w =
     (* if-conversion first: a converted branch leaves nothing for the
        layout/prediction flags to improve *)
     let convertible =
-      ctx.on "if-conversion" && (not b.is_loop_header)
+      on ctx F.if_conversion && (not b.is_loop_header)
       && w.alu +. w.muldiv <= K.ifcvt_max_ops
       && w.mem <= 2.0
     in
@@ -159,45 +203,45 @@ let apply_branches ctx (b : Peak_ir.Features.block) w =
       w.branches <- 0.0;
       w.alu <- w.alu +. K.ifcvt_alu_cost;
       w.mispredict <- 0.0;
-      if ctx.on "if-conversion2" then w.alu <- Float.max 0.0 (w.alu -. 0.5)
+      if on ctx F.if_conversion2 then w.alu <- Float.max 0.0 (w.alu -. 0.5)
     end
     else begin
-      if ctx.on "guess-branch-probability" then
+      if on ctx F.guess_branch_probability then
         w.mispredict <- w.mispredict *. K.guess_branch_cut;
-      if ctx.on "reorder-blocks" && ctx.on "guess-branch-probability" then begin
+      if on ctx F.reorder_blocks && on ctx F.guess_branch_probability then begin
         w.mispredict <- w.mispredict *. K.reorder_blocks_cut;
         w.overhead <- Float.max 0.0 (w.overhead -. 0.05)
       end;
-      if ctx.on "thread-jumps" then begin
+      if on ctx F.thread_jumps then begin
         w.overhead <- w.overhead *. 0.97;
         w.mispredict <- w.mispredict *. 0.97
       end;
-      if ctx.on "delayed-branch" && ctx.machine.branch_penalty <= 5.0 then
+      if on ctx F.delayed_branch && ctx.machine.branch_penalty <= 5.0 then
         w.overhead <- Float.max 0.0 (w.overhead -. 0.4);
-      if ctx.on "align-jumps" then w.overhead <- Float.max 0.0 (w.overhead -. 0.01)
+      if on ctx F.align_jumps then w.overhead <- Float.max 0.0 (w.overhead -. 0.01)
     end
   end
 
 let apply_scheduling ctx w =
-  if ctx.on "schedule-insns" then begin
+  if on ctx F.schedule_insns then begin
     w.ilp <- w.ilp +. (K.sched1_ilp *. ctx.amplify);
     w.pressure <- w.pressure +. K.sched1_pressure;
-    if ctx.on "sched-interblock" then w.ilp <- w.ilp +. K.interblock_ilp;
-    if ctx.on "sched-spec" then begin
+    if on ctx F.sched_interblock then w.ilp <- w.ilp +. K.interblock_ilp;
+    if on ctx F.sched_spec then begin
       w.ilp <- w.ilp +. K.spec_ilp;
       w.mem <- w.mem *. 1.02 (* speculative loads sometimes waste traffic *)
     end
   end;
-  if ctx.on "schedule-insns2" then begin
+  if on ctx F.schedule_insns2 then begin
     w.ilp <- w.ilp +. K.sched2_ilp;
     w.pressure <- w.pressure +. K.sched2_pressure
   end;
-  if ctx.on "rename-registers" then w.ilp <- w.ilp +. K.rename_ilp
+  if on ctx F.rename_registers then w.ilp <- w.ilp +. K.rename_ilp
 
 let apply_strict_aliasing ctx (b : Peak_ir.Features.block) w =
   let n_bases = List.length b.bases in
   let n_pointers = List.length b.pointer_bases in
-  if ctx.on "strict-aliasing" && n_bases >= 2 then begin
+  if on ctx F.strict_aliasing && n_bases >= 2 then begin
     (* type-based disambiguation removes redundant reloads and lets loads
        move; with pointer-heavy code the disambiguated values live in
        registers across the ambiguous region, extending live ranges —
@@ -209,20 +253,20 @@ let apply_strict_aliasing ctx (b : Peak_ir.Features.block) w =
 
 let apply_calls_and_alignment ctx (b : Peak_ir.Features.block) w =
   let has_calls = b.impure_calls > 0 || b.transcendental > 0 in
-  if ctx.on "optimize-sibling-calls" && has_calls then
+  if on ctx F.optimize_sibling_calls && has_calls then
     w.overhead <- Float.max 0.0 (w.overhead -. 0.1);
-  if ctx.on "inline-functions" && has_calls then begin
+  if on ctx F.inline_functions && has_calls then begin
     w.overhead <- Float.max 0.0 (w.overhead -. K.inline_overhead_cut);
     w.pressure <- w.pressure +. K.inline_pressure
   end;
-  if ctx.on "align-functions" then w.overhead <- w.overhead *. 0.995;
-  if ctx.on "align-labels" then w.overhead <- w.overhead +. 0.005
+  if on ctx F.align_functions then w.overhead <- w.overhead *. 0.995;
+  if on ctx F.align_labels then w.overhead <- w.overhead +. 0.005
 (* label alignment pads straightline code: a (tiny) net loss *)
 
 let available_registers ctx =
   let base = ctx.machine.int_registers in
-  let base = if ctx.on "omit-frame-pointer" then base + 1 else base in
-  if ctx.on "caller-saves" then base + 1 else base
+  let base = if on ctx F.omit_frame_pointer then base + 1 else base in
+  if on ctx F.caller_saves then base + 1 else base
 
 let spill_traffic ctx w =
   let regs = float_of_int (available_registers ctx) in
@@ -301,13 +345,9 @@ let machine_signature machine ts =
       in
       (mean_p /. regs, float_of_int spills /. fn, mean_ilp)
     in
-    let off name =
-      match Flags.by_name name with
-      | Some f -> Optconfig.disable Optconfig.o3 f
-      | None -> Optconfig.o3
-    in
+    let off f = Optconfig.disable Optconfig.o3 f in
     let p3, s3, ilp3 = run Optconfig.o3 in
-    let pa, _, _ = run (off "strict-aliasing") in
-    let ps, _, _ = run (off "schedule-insns") in
+    let pa, _, _ = run (off F.strict_aliasing) in
+    let ps, _, _ = run (off F.schedule_insns) in
     [| p3; s3; p3 -. pa; p3 -. ps; ilp3 |]
   end

@@ -66,7 +66,12 @@ let count = Array.length all
 
 let () = assert (count = 38)
 
-let by_name name = Array.to_seq all |> Seq.find (fun f -> f.name = name)
+let table =
+  let t = Hashtbl.create count in
+  Array.iter (fun f -> Hashtbl.replace t f.name f) all;
+  t
+
+let by_name name = Hashtbl.find_opt table name
 
 let by_index i =
   if i < 0 || i >= count then invalid_arg "Flags.by_index" else all.(i)

@@ -19,6 +19,9 @@ val count : int
 (** 38 — asserted at startup. *)
 
 val by_name : string -> t option
+(** The flag named [name] (without the [-f] prefix) — a hash-table
+    lookup built once at module load. *)
+
 val by_index : int -> t
 (** @raise Invalid_argument outside [0, count). *)
 

@@ -246,23 +246,30 @@ let check_oracle env plan start =
   charge env (consumption r);
   env.oracle <- Some d
 
-let run_rated env ~mname ~jseed (v : Version.t) rate_fn : outcome =
-  (* span names are deterministic — method, config digest, attempt
-     ordinal — so the traces of two runs of the same session differ only
-     in timestamps *)
-  let span_name attempt =
+(* Rating span names are deterministic — method, config digest, attempt
+   ordinal — so the traces of two runs of the same session differ only
+   in timestamps.  Untraced, a rating builds no name: the tracer then
+   costs one branch and no allocation. *)
+let rate_span_name ~mname (v : Version.t) attempt =
+  if Peak_obs.active () then
     Printf.sprintf "rate:%s:%s:a%d" mname (Optconfig.digest v.Version.config) attempt
-  in
+  else ""
+
+let run_rated env ~mname ~jseed (v : Version.t) rate_fn : outcome =
   match env.faults with
   | None ->
-      Peak_obs.with_span ~parent:env.span_parent ~cat:"rate" (span_name 0) @@ fun _ ->
+      Peak_obs.with_span ~parent:env.span_parent ~cat:"rate" (rate_span_name ~mname v 0)
+      @@ fun _ ->
       let r = fresh_runner env jseed in
       let rating = rate_fn r in
       (rating.Rating.eval, rating.Rating.converged, consumption r, None, 0)
   | Some _ ->
       let sum (i1, p1, c1) (i2, p2, c2) = (i1 + i2, p1 + p2, c1 +. c2) in
       let rec go attempt used =
-        let sid = Peak_obs.begin_span ~parent:env.span_parent ~cat:"rate" (span_name attempt) in
+        let sid =
+          Peak_obs.begin_span ~parent:env.span_parent ~cat:"rate"
+            (rate_span_name ~mname v attempt)
+        in
         let r = fresh_runner env ~fault_attempt:attempt jseed in
         let outcome =
           match
@@ -685,37 +692,62 @@ let tune_suite ?(seed = 11) ?strategy ?rating_params ?threshold ?method_ ?(domai
                 ?retries benchmark machine dataset))
         benchmarks)
 
-(* Deterministic evaluation: same machinery, but a noise-free machine and
-   no cache-flushing perturbations. *)
-let ts_pass_cycles ?(seed = 5) (benchmark : Benchmark.t) machine config dataset =
+(* ------------------------------------------------------------------ *)
+(* Evaluation by Eq. 1                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A noise-free pass (σ = 0, no spikes, no context switches, no memory
+   jitter) times a version at exactly Σ_i (counts_i · c(v) + mem_i), and
+   neither counts_i nor mem_i depends on the version.  So one
+   interpretation of the pass prices every configuration:
+   T(v) = C·c(v) + M. *)
+type pass_summary = {
+  ps_benchmark : Benchmark.t;
+  ps_machine : Machine.t;  (* the noise-free copy versions compile for *)
+  ps_features : Peak_ir.Features.ts;
+  ps_counts : int array;  (* C *)
+  ps_mem : float;  (* M *)
+  ps_o3 : float;  (* -O3's section time: the non-TS time derives from it *)
+}
+
+let section_cycles ~machine ~features ~counts ~mem config =
+  Version.invocation_cycles (Version.compile machine features config) ~counts +. mem
+
+let pass_summary ?(seed = 5) (benchmark : Benchmark.t) machine dataset =
   let machine = { machine with Machine.noise_sigma = 0.0; spike_probability = 0.0 } in
   let tsec = Tsection.make benchmark.Benchmark.ts in
   let trace = benchmark.Benchmark.trace dataset ~seed in
   let runner = Runner.create ~seed ~context_switch_rate:0.0 tsec trace machine in
-  let v = Version.compile machine tsec.Tsection.features config in
-  Runner.run_full_pass runner v
+  let counts, mem = Runner.pass_terms runner in
+  let features = tsec.Tsection.features in
+  {
+    ps_benchmark = benchmark;
+    ps_machine = machine;
+    ps_features = features;
+    ps_counts = counts;
+    ps_mem = mem;
+    ps_o3 = section_cycles ~machine ~features ~counts ~mem Optconfig.o3;
+  }
 
-let evaluate_program_cycles ?(seed = 5) benchmark machine config dataset =
-  let ts = ts_pass_cycles ~seed benchmark machine config dataset in
-  let ts_o3 =
-    if Optconfig.equal config Optconfig.o3 then ts
-    else ts_pass_cycles ~seed benchmark machine Optconfig.o3 dataset
-  in
-  let share = benchmark.Benchmark.time_share in
-  ts +. (ts_o3 *. (1.0 -. share) /. share)
+let summary_section_cycles s config =
+  if Optconfig.equal config Optconfig.o3 then s.ps_o3
+  else
+    section_cycles ~machine:s.ps_machine ~features:s.ps_features ~counts:s.ps_counts
+      ~mem:s.ps_mem config
 
-(* [evaluate_program_cycles] for [best] and for -O3, sharing the -O3
-   pass they both need (and the only pass when [best] is -O3); the float
-   expressions are [evaluate_program_cycles]'s, so the result is
-   bit-identical to calling it twice. *)
-let improvement_pct ?(seed = 5) (benchmark : Benchmark.t) machine ~best dataset =
-  let ts_o3 = ts_pass_cycles ~seed benchmark machine Optconfig.o3 dataset in
-  let ts_best =
-    if Optconfig.equal best Optconfig.o3 then ts_o3
-    else ts_pass_cycles ~seed benchmark machine best dataset
-  in
-  let share = benchmark.Benchmark.time_share in
-  let program ts = ts +. (ts_o3 *. (1.0 -. share) /. share) in
-  let t_best = program ts_best in
-  let t_o3 = program ts_o3 in
+(* The TS time plus the program's non-TS time, which no configuration
+   changes (only the TS is re-optimized). *)
+let summary_program_cycles s config =
+  let share = s.ps_benchmark.Benchmark.time_share in
+  summary_section_cycles s config +. (s.ps_o3 *. (1.0 -. share) /. share)
+
+let summary_improvement_pct s ~best =
+  let t_best = summary_program_cycles s best in
+  let t_o3 = summary_program_cycles s Optconfig.o3 in
   ((t_o3 /. t_best) -. 1.0) *. 100.0
+
+let evaluate_program_cycles ?seed benchmark machine config dataset =
+  summary_program_cycles (pass_summary ?seed benchmark machine dataset) config
+
+let improvement_pct ?seed benchmark machine ~best dataset =
+  summary_improvement_pct (pass_summary ?seed benchmark machine dataset) ~best

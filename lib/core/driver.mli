@@ -248,6 +248,47 @@ val auto_method : Profile.t -> Tsection.t -> Method.t
 (** The consultant's first choice — the head of the fallback chain
     {!tune} walks when no method is forced. *)
 
+(** {1 Evaluation by Eq. 1}
+
+    Deterministic evaluation times a configuration over one noise-free
+    pass of a dataset: no measurement noise or spikes, no cache-flushing
+    context switches, no memory-conflict jitter.  On such a pass an
+    invocation's time is its block counts dotted with the version's
+    per-block cycles, plus a memory charge that reads only the
+    interpreter's accesses — so the pass's section time under any
+    configuration [v] is [C·c(v) + M], where [C] (block counts summed
+    over the pass) and [M] (memory cycles summed over the pass) do not
+    depend on [v].  This is the paper's Eq. 1 over a whole pass.  A
+    {!pass_summary} holds [C] and [M] from one interpretation of the
+    pass, and prices each configuration with one compile and one dot
+    product. *)
+
+type pass_summary
+(** [C] and [M] for one (benchmark, machine, dataset, seed) pass. *)
+
+val pass_summary :
+  ?seed:int ->
+  Peak_workload.Benchmark.t ->
+  Peak_machine.Machine.t ->
+  Peak_workload.Trace.dataset ->
+  pass_summary
+(** Interpret one noise-free pass over [benchmark.trace dataset ~seed]
+    (default seed 5) — the only interpretation the summary needs. *)
+
+val summary_section_cycles : pass_summary -> Peak_compiler.Optconfig.t -> float
+(** The tuning section's cycles over the pass: [C·c(v) + M]. *)
+
+val summary_program_cycles : pass_summary -> Peak_compiler.Optconfig.t -> float
+(** Whole-program cycles: the section's plus the program's non-TS time,
+    which no configuration changes (only the TS is re-optimized) and
+    which is derived from -O3's section time and the benchmark's time
+    share. *)
+
+val summary_improvement_pct : pass_summary -> best:Peak_compiler.Optconfig.t -> float
+(** Whole-program improvement of [best] over -O3 in percent —
+    [ (T(-O3)/T(best) - 1) · 100 ], the quantity of Figure 7 (a)/(b).
+    Exactly [0.0] for [best] = -O3. *)
+
 val evaluate_program_cycles :
   ?seed:int ->
   Peak_workload.Benchmark.t ->
@@ -255,10 +296,9 @@ val evaluate_program_cycles :
   Peak_compiler.Optconfig.t ->
   Peak_workload.Trace.dataset ->
   float
-(** Deterministic (noise-free) whole-program cycles under a
-    configuration: TS time measured over one pass plus the program's
-    non-TS time (which is configuration-independent, since only the TS is
-    re-optimized). *)
+(** {!summary_program_cycles} on a summary built for this one call.
+    A caller pricing several configurations on the same pass should hold
+    a {!pass_summary} instead. *)
 
 val improvement_pct :
   ?seed:int ->
@@ -267,7 +307,7 @@ val improvement_pct :
   best:Peak_compiler.Optconfig.t ->
   Peak_workload.Trace.dataset ->
   float
-(** Whole-program improvement of [best] over -O3 in percent —
-    [ (T(-O3)/T(best) - 1) · 100 ], the quantity of Figure 7 (a)/(b).
-    Bit-identical to computing both [T]s with {!evaluate_program_cycles},
-    but the -O3 pass both need runs once. *)
+(** {!summary_improvement_pct} on a summary built for this one call: one
+    interpretation of the pass serves both [best] and -O3, and the result
+    equals pricing [best] from a held summary of the same pass, bit for
+    bit. *)

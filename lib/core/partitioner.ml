@@ -72,28 +72,18 @@ let tune_program ?(seed = 11) ?min_share ?max_sections (program : Program.t) mac
   let profiles = profile_program ~seed program machine dataset in
   let selected = select ?min_share ?max_sections profiles in
   let skipped = List.filter (fun sp -> not (List.memq sp selected)) profiles in
-  (* TS-level speedup of a section under a configuration, noise-free on
-     the ref data set *)
-  let section_speedup sp best_config =
-    let machine0 =
-      { machine with Peak_machine.Machine.noise_sigma = 0.0; spike_probability = 0.0 }
-    in
-    let cycles config =
-      let trace = sp.section.Program.trace Trace.Ref ~seed in
-      let runner = Runner.create ~seed ~context_switch_rate:0.0 sp.tsec trace machine0 in
-      let v = Peak_compiler.Version.compile machine0 sp.tsec.Tsection.features config in
-      Runner.run_full_pass runner v
-    in
-    cycles Peak_compiler.Optconfig.o3 /. cycles best_config
-  in
   let sections =
     List.map
       (fun sp ->
         let b = as_benchmark program sp in
         let method_ = Driver.auto_method sp.profile sp.tsec in
         let result = Driver.tune ~seed ~method_ b machine dataset in
+        (* TS-level speedup, noise-free on the ref data set *)
+        let on_ref = Driver.pass_summary ~seed b machine Trace.Ref in
+        let section config = Driver.summary_section_cycles on_ref config in
         let section_improvement_pct =
-          (section_speedup sp result.Driver.best_config -. 1.0) *. 100.0
+          ((section Peak_compiler.Optconfig.o3 /. section result.Driver.best_config) -. 1.0)
+          *. 100.0
         in
         { sp; method_used = method_; result; section_improvement_pct })
       selected

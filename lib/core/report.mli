@@ -27,7 +27,8 @@ val figure7_cell :
   Peak_workload.Benchmark.t ->
   Peak_machine.Machine.t ->
   cell
-(** Tune on train and on ref with the method; evaluate both on ref. *)
+(** Tune on train and on ref with the method; evaluate both on one
+    {!Driver.pass_summary} of the ref pass. *)
 
 val figure7_methods :
   Peak_workload.Benchmark.t ->

@@ -157,10 +157,15 @@ let hang t version =
     t.tuning_cycles <- t.tuning_cycles +. t.invocation_budget;
   fail t Hung version
 
+(* The memory system's cycles for the already-set-up invocation.  Every
+   version pays the same: the charge reads only the interpreter's
+   accesses (and moves the residency state). *)
+let memory_cycles t r = Memsys.charge t.memsys (accesses_of t r)
+
 (* Time one execution of [version] on the already-set-up invocation. *)
 let time_execution t version (r : Interp.result) =
   let base = Peak_compiler.Version.invocation_cycles version ~counts:r.Interp.block_counts in
-  let mem = Memsys.charge t.memsys (accesses_of t r) in
+  let mem = memory_cycles t r in
   let time = Noise.apply t.noise (base +. mem) in
   let time =
     match t.faults with
@@ -247,7 +252,7 @@ let step_pair ?(improved = true) ?(use_ranges = true) t ~base ~experimental =
     let pre_cycles =
       0.6 *. Peak_compiler.Version.invocation_cycles base ~counts:r.Interp.block_counts
     in
-    let mem = Memsys.charge t.memsys (accesses_of t r) in
+    let mem = memory_cycles t r in
     charge (pre_cycles +. mem);
     charge (copy_cycles t) (* restore *)
   end;
@@ -275,7 +280,7 @@ let step_batch ?(use_ranges = true) t ~base ~experimentals =
   let pre_cycles =
     0.6 *. Peak_compiler.Version.invocation_cycles base ~counts:r.Interp.block_counts
   in
-  let mem = Memsys.charge t.memsys (accesses_of t r) in
+  let mem = memory_cycles t r in
   charge (pre_cycles +. mem);
   charge copy;
   (* restore before the first timed run *)
@@ -291,15 +296,33 @@ let step_batch ?(use_ranges = true) t ~base ~experimentals =
 
 let charge_overhead t c = t.tuning_cycles <- t.tuning_cycles +. c
 
+(* Invocations left in the current pass (a whole pass when none is
+   under way). *)
+let rest_of_pass t =
+  let remaining = t.length - t.pos in
+  if t.initialized && remaining > 0 then remaining else t.length
+
 let run_full_pass t version =
   let total = ref 0.0 in
-  let remaining = t.length - t.pos in
-  let n = if t.initialized && remaining > 0 then remaining else t.length in
-  for _ = 1 to n do
+  for _ = 1 to rest_of_pass t do
     let s = step t version in
     total := !total +. s.time
   done;
   !total
+
+(* Eq. 1's two version-independent terms over the same invocations
+   [run_full_pass] would time: one interpretation each, its counts
+   summed into [counts] and its memory charge into [mem]. *)
+let pass_terms t =
+  let counts = Array.make (Array.length t.tsec.Tsection.features.Features.blocks) 0 in
+  let mem = ref 0.0 in
+  for _ = 1 to rest_of_pass t do
+    advance t;
+    let r = interp_result t in
+    Array.iteri (fun b n -> counts.(b) <- counts.(b) + n) r.Interp.block_counts;
+    mem := !mem +. memory_cycles t r
+  done;
+  (counts, !mem)
 
 (* One validation run: execute the version on the next invocation and
    digest the observable outcome (block-entry counts — the interpreter's

@@ -136,6 +136,16 @@ val run_full_pass : t -> Peak_compiler.Version.t -> float
 (** Execute every remaining invocation of the current pass under one
     version and return the summed TS time — the WHL primitive. *)
 
+val pass_terms : t -> int array * float
+(** Consume the invocations {!run_full_pass} would and return the two
+    terms of their time that no version changes: the block-entry counts
+    summed over them, [C], and the memory system's cycles summed over
+    them, [M] (the charge every timed execution pays).  On a noise-free
+    machine without faults, [run_full_pass t v] equals
+    [Version.invocation_cycles v ~counts:C +. M] up to float
+    reassociation — Eq. 1 over a whole pass.  Nothing is charged to the
+    tuning-time ledger. *)
+
 val output_digest : t -> Peak_compiler.Version.t -> int64
 (** Execute the version on the next invocation (charged like any timed
     run) and digest its observable outcome.  At equal invocation

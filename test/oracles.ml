@@ -195,3 +195,17 @@ let crashed_copy ~src_dir ~dst_dir ~id ~keep =
   output_string oc (String.sub tail 0 (String.length tail / 2));
   close_out oc;
   List.length lines
+
+(* The per-invocation evaluation pass that [Driver.pass_summary]
+   replaced: a noise-free runner times every invocation of one pass
+   under the version, and the times are summed in invocation order.
+   The summary's [C·c(v) + M] must agree with it up to float
+   reassociation. *)
+let ts_pass_cycles ?(seed = 5) (benchmark : Benchmark.t) machine config dataset =
+  let machine =
+    { machine with Peak_machine.Machine.noise_sigma = 0.0; spike_probability = 0.0 }
+  in
+  let tsec = Tsection.make benchmark.Benchmark.ts in
+  let trace = benchmark.Benchmark.trace dataset ~seed in
+  let runner = Runner.create ~seed ~context_switch_rate:0.0 tsec trace machine in
+  Runner.run_full_pass runner (Version.compile machine tsec.Tsection.features config)

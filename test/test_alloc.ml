@@ -1,8 +1,9 @@
 (* Allocation-regression tests for the rating hot paths.
 
    The budgets pinned here mirror ci/alloc_budget.json: the steady-state
-   compiled interpreter loop allocates nothing (sub-byte amortized), and
-   a warm rating-summary scratch stays within a small constant.  The
+   compiled interpreter loop allocates nothing (sub-byte amortized), a
+   warm rating-summary scratch stays within a small constant, and so do
+   a replayed runner step and a version compile.  The
    assertions only run on the native backend — bytecode boxes every
    float and would trip any budget. *)
 
@@ -97,6 +98,23 @@ let test_runner_replay_budget () =
       Alcotest.failf "a replayed Runner.step allocates %.1f bytes (budget 4096)" per_call
   end
 
+(* Compiling a version tests resolved flags, never names: a compile of
+   ART's section under -O3 allocates its per-block workloads and little
+   else (budget 16384, as in ci/alloc_budget.json). *)
+let test_version_compile_budget () =
+  if native then begin
+    let open Peak_workload in
+    let b = Option.get (Registry.by_name "ART") in
+    let tsec = Peak.Tsection.make b.Benchmark.ts in
+    let compile () =
+      Peak_compiler.Version.compile Peak_machine.Machine.sparc2 tsec.Peak.Tsection.features
+        Peak_compiler.Optconfig.o3
+    in
+    let per_call = bytes_per_call compile 500 in
+    if per_call > 16384.0 then
+      Alcotest.failf "Version.compile allocates %.1f bytes (budget 16384)" per_call
+  end
+
 let suites =
   [
     ( "alloc",
@@ -107,5 +125,7 @@ let suites =
           test_summarize_into_budget;
         Alcotest.test_case "replayed runner step stays within budget" `Quick
           test_runner_replay_budget;
+        Alcotest.test_case "version compile stays within budget" `Quick
+          test_version_compile_budget;
       ] );
   ]

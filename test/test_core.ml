@@ -924,6 +924,81 @@ let test_driver_evaluation_consistency () =
   Alcotest.(check (float 1e-6)) "O3 improvement over itself is zero" 0.0
     (Driver.improvement_pct b Machine.sparc2 ~best:Optconfig.o3 Trace.Train)
 
+(* ------------------------------------------------------------------ *)
+(* Evaluation by Eq. 1                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let eval_machines = [ Machine.sparc2; Machine.pentium4 ]
+
+(* Every (benchmark, machine) cell on train, with its pass summary and
+   the per-invocation oracle's -O3 pass, built once for all cases. *)
+let eval_cells =
+  lazy
+    (List.concat_map
+       (fun (b : Benchmark.t) ->
+         List.map
+           (fun m ->
+             ( b,
+               m,
+               Driver.pass_summary b m Trace.Train,
+               Oracles.ts_pass_cycles b m Optconfig.o3 Trace.Train ))
+           eval_machines)
+       Registry.all)
+
+(* One drawn configuration per cell: a uniform flag subset, or -O3 with
+   a few flags removed (where the searches spend their ratings). *)
+let arb_cell_configs =
+  let open QCheck.Gen in
+  let subset bits =
+    Array.fold_left
+      (fun c (f : Flags.t) -> if bits.(f.Flags.index) then Optconfig.enable c f else c)
+      Optconfig.o0 Flags.all
+  in
+  let o3_minus = List.fold_left (fun c i -> Optconfig.disable c (Flags.by_index i)) Optconfig.o3 in
+  let config =
+    frequency
+      [
+        (1, map subset (array_repeat Flags.count bool));
+        (1, map o3_minus (list_size (int_range 1 4) (int_bound (Flags.count - 1))));
+      ]
+  in
+  QCheck.make
+    ~print:(fun cs -> String.concat "; " (List.map Optconfig.to_string cs))
+    (list_repeat (List.length eval_machines * List.length Registry.all) config)
+
+let rel_diff a b = abs_float (a -. b) /. abs_float b
+
+(* Eq. 1 over a whole pass is exact up to float reassociation: the
+   summary's section and program times match the oracle's
+   invocation-by-invocation sums, -O3's improvement over itself is
+   exactly 0, and improvement_pct (its own summary) equals pricing from
+   a held one, bit for bit. *)
+let prop_summary_matches_oracle =
+  QCheck.Test.make ~name:"pass summary = per-invocation pass, 14 benchmarks x 2 machines"
+    ~count:2 arb_cell_configs (fun configs ->
+      List.iter2
+        (fun (b, m, s, oracle_o3) config ->
+          let tag =
+            Printf.sprintf "%s/%s %s" b.Benchmark.name m.Machine.name
+              (Optconfig.to_string config)
+          in
+          let oracle = Oracles.ts_pass_cycles b m config Trace.Train in
+          let section = Driver.summary_section_cycles s config in
+          if rel_diff section oracle > 1e-9 then
+            QCheck.Test.fail_reportf "%s: section %h vs oracle %h" tag section oracle;
+          let share = b.Benchmark.time_share in
+          let program = oracle +. (oracle_o3 *. (1.0 -. share) /. share) in
+          if rel_diff (Driver.summary_program_cycles s config) program > 1e-9 then
+            QCheck.Test.fail_reportf "%s: program cycles off the oracle's" tag;
+          if Driver.summary_improvement_pct s ~best:Optconfig.o3 <> 0.0 then
+            QCheck.Test.fail_reportf "%s: -O3 improves on itself" tag;
+          let held = Driver.summary_improvement_pct s ~best:config in
+          let fresh = Driver.improvement_pct b m ~best:config Trace.Train in
+          if not (Oracles.same_float held fresh) then
+            QCheck.Test.fail_reportf "%s: improvement_pct %h vs held summary %h" tag fresh held)
+        (Lazy.force eval_cells) configs;
+      true)
+
 let test_report_normalization () =
   let b = bench "SWIM" in
   let r = Driver.tune ~method_:Method.Cbr b Machine.sparc2 Trace.Train in
@@ -1073,6 +1148,7 @@ let suites =
         Alcotest.test_case "report normalization" `Quick test_report_normalization;
         Alcotest.test_case "figure7 methods" `Quick test_report_figure7_methods;
       ] );
+    ("core.eval", List.map QCheck_alcotest.to_alcotest [ prop_summary_matches_oracle ]);
     ( "core.consistency",
       [
         Alcotest.test_case "rbr row" `Slow test_consistency_rbr_row;

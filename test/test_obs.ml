@@ -229,6 +229,41 @@ let test_tune_trace_schema () =
   Alcotest.(check bool) "summary mentions spans" true (contains ~sub:"Spans by category" s);
   Alcotest.(check bool) "summary mentions counters" true (contains ~sub:"Counters" s)
 
+(* Rating spans carry the deterministic name rate:<method>:<digest>:a<n>.
+   Under Batch Elimination the first batch rates every single-flag
+   removal from -O3, so each of those digests names a span. *)
+let test_rate_span_names () =
+  let r, export =
+    with_sink @@ fun () ->
+    let r =
+      Driver.tune ~strategy:Strategy.Be ~method_:Method.Rbr (bench "SWIM") machine Trace.Train
+    in
+    (r, Option.get (Peak_obs.export ()))
+  in
+  let trace = Result.get_ok (Tracefile.of_json (Result.get_ok (Json.of_string export))) in
+  let names =
+    List.filter_map
+      (fun s -> if s.Tracefile.sp_cat = "rate" then Some s.Tracefile.sp_name else None)
+      trace.Tracefile.spans
+  in
+  Alcotest.(check int) "one span per rating" r.Driver.search_stats.Search.ratings
+    (List.length names);
+  let open Peak_compiler in
+  Array.iter
+    (fun f ->
+      let name =
+        Printf.sprintf "rate:%s:%s:a0" (Method.name r.Driver.method_used)
+          (Optconfig.digest (Optconfig.disable Optconfig.o3 f))
+      in
+      Alcotest.(check bool) (name ^ " present") true (List.mem name names))
+    Flags.all;
+  List.iter
+    (fun name ->
+      match String.split_on_char ':' name with
+      | [ "rate"; "RBR"; digest; "a0" ] when String.length digest = 16 -> ()
+      | _ -> Alcotest.failf "malformed rate span name %S" name)
+    names
+
 (* Gauges: last-write-wins levels (pool queue depth, in-flight, daemon
    admission), exported next to counters and parsed back by Tracefile. *)
 let test_gauges () =
@@ -281,5 +316,7 @@ let suites =
         Alcotest.test_case "traced kill/resume bit-identical" `Quick
           test_trace_kill_resume_identical;
         Alcotest.test_case "tune trace passes schema validation" `Quick test_tune_trace_schema;
+        Alcotest.test_case "rate spans are named rate:<M>:<digest>:a0" `Quick
+          test_rate_span_names;
       ] );
   ]
