@@ -1179,16 +1179,16 @@ let bytes_per_call f n =
 (* The "before" column of BENCH_alloc.json: the first three probes
    measured on this harness before the slot compiler / scratch-buffer
    refactor (string-keyed environment, allocating summarize); for
-   runner_replay, a rating runner's step before rating runners shared
-   the session tape — each interpreted on its own, at runner_step's
-   cost; for version_compile, the same compile while the flag model
-   still looked every flag up by name. *)
+   runner_replay, the same replayed step while the memory system was
+   keyed by base name (an access record list per charge, a residency
+   list refolded per touch); for version_compile, the same compile
+   while the flag model still looked every flag up by name. *)
 let alloc_before =
   [
     ("interp_step", 61907.7);
     ("rating_window", 105913.0);
     ("runner_step", 271011.1);
-    ("runner_replay", 4212.7);
+    ("runner_replay", 2129.7);
     ("version_compile", 1058626.4);
   ]
 

@@ -34,12 +34,17 @@ let find_machine name =
       | _ -> Error (Printf.sprintf "unknown machine %s (sparc2 | pentium4)" name))
 
 (* Every subcommand body runs under this guard: any expected failure —
-   unknown names, inapplicable rating methods, store corruption,
-   filesystem errors — prints as one line on stderr and exits 1 instead
-   of dumping an uncaught-exception backtrace. *)
+   unknown names, inapplicable rating methods, a forced method that finds
+   no usable samples (CBR on a context that never recurs), store
+   corruption, filesystem errors — prints as one line on stderr and
+   exits 1 instead of dumping an uncaught-exception backtrace. *)
 let guard f =
   try f () with
-  | Invalid_argument msg | Failure msg | Sys_error msg | Method.Not_applicable msg ->
+  | Invalid_argument msg
+  | Failure msg
+  | Sys_error msg
+  | Method.Not_applicable msg
+  | Rating.No_samples msg ->
       prerr_endline ("peak-tune: " ^ msg);
       exit 1
 

@@ -126,6 +126,21 @@ else
   rm -f "$SMOKE_ERR_TMP"
   exit 1
 fi
+# A forced method that finds no usable samples is an expected failure
+# too: CBR on BZIP2, whose target context never recurs, must exit 1
+# with one peak-tune line, not an uncaught exception.
+echo "== forced CBR without samples"
+status=0
+"$BIN" tune BZIP2 -m sparc2 -r cbr --search be >/dev/null 2>"$SMOKE_ERR_TMP" || status=$?
+if [ "$status" -eq 1 ] && [ "$(wc -l < "$SMOKE_ERR_TMP")" -eq 1 ] \
+  && grep -q "^peak-tune: " "$SMOKE_ERR_TMP" && ! grep -q "uncaught" "$SMOKE_ERR_TMP"; then
+  echo "   one-line error, exit 1"
+else
+  echo "   unexpected outcome for forced CBR on BZIP2 (exit $status):" >&2
+  cat "$SMOKE_ERR_TMP" >&2
+  rm -f "$SMOKE_ERR_TMP"
+  exit 1
+fi
 rm -f "$SMOKE_ERR_TMP"
 
 # Store resume smoke: kill a store-backed tuning session mid-flight,

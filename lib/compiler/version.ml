@@ -11,10 +11,14 @@ let compile machine ts config =
   { config; machine; block_cycles; workloads }
 
 let invocation_cycles t ~counts =
-  if Array.length counts <> Array.length t.block_cycles then
+  let cycles = t.block_cycles in
+  if Array.length counts <> Array.length cycles then
     invalid_arg "Version.invocation_cycles: block count mismatch";
+  (* a loop over a local accumulator keeps the sum unboxed *)
   let acc = ref 0.0 in
-  Array.iteri (fun i c -> acc := !acc +. (float_of_int c *. t.block_cycles.(i))) counts;
+  for b = 0 to Array.length counts - 1 do
+    acc := !acc +. (float_of_int counts.(b) *. cycles.(b))
+  done;
   !acc
 
 let compare_speed a b ~counts =

@@ -32,7 +32,6 @@ type t = {
   memsys : Memsys.t;
   noise : Noise.t;
   perturb_rng : Rng.t;
-  array_bytes : (string * int) list;
   context_switch_rate : float;
   timer_overhead : float;
   save_words : int;
@@ -71,16 +70,24 @@ let of_tape ?(seed = 42) ?(context_switch_rate = 0.02) ?faults ?(fault_attempt =
     | None, None -> infinity
   in
   let tsec = Tape.tsection tape in
+  (* the extent each base slot touches: a whole array, or the one word
+     behind a pointer *)
+  let bytes =
+    Array.map
+      (fun base ->
+        match List.assoc_opt base tsec.Tsection.ts.Peak_ir.Types.arrays with
+        | Some n -> 8 * n
+        | None -> 8)
+      tsec.Tsection.bases
+  in
   {
     tape;
     tsec;
     length = Tape.length tape;
     machine;
-    memsys = Memsys.create ?rng:memsys_rng machine;
+    memsys = Memsys.create ?rng:memsys_rng machine ~bytes;
     noise = Noise.create ~rng:noise_rng machine;
     perturb_rng;
-    array_bytes =
-      List.map (fun (a, n) -> (a, 8 * n)) tsec.Tsection.ts.Peak_ir.Types.arrays;
     context_switch_rate;
     timer_overhead = 40.0;
     save_words = (Tsection.save_restore_bytes tsec + 7) / 8;
@@ -121,16 +128,6 @@ let advance t =
 (* The ordinal [advance] just set up. *)
 let interp_result t = Tape.result t.tape (t.invocations - 1)
 
-let accesses_of t (r : Interp.result) =
-  List.filter_map
-    (fun (base, touches) ->
-      let bytes =
-        match List.assoc_opt base t.array_bytes with Some b -> b | None -> 8
-        (* pointer pointee *)
-      in
-      if touches > 0 then Some { Memsys.base; bytes; touches } else None)
-    r.Interp.array_accesses
-
 let fault_key t (version : Peak_compiler.Version.t) =
   let config = version.Peak_compiler.Version.config in
   match Hashtbl.find_opt t.fault_keys config with
@@ -158,9 +155,9 @@ let hang t version =
   fail t Hung version
 
 (* The memory system's cycles for the already-set-up invocation.  Every
-   version pays the same: the charge reads only the interpreter's
-   accesses (and moves the residency state). *)
-let memory_cycles t r = Memsys.charge t.memsys (accesses_of t r)
+   version pays the same: the charge reads only the interpreter's touch
+   counts, slot by slot (and moves the residency state). *)
+let memory_cycles t (r : Interp.result) = Memsys.charge t.memsys r.Interp.touches
 
 (* Time one execution of [version] on the already-set-up invocation. *)
 let time_execution t version (r : Interp.result) =
@@ -319,7 +316,10 @@ let pass_terms t =
   for _ = 1 to rest_of_pass t do
     advance t;
     let r = interp_result t in
-    Array.iteri (fun b n -> counts.(b) <- counts.(b) + n) r.Interp.block_counts;
+    let c = r.Interp.block_counts in
+    for b = 0 to Array.length c - 1 do
+      counts.(b) <- counts.(b) + c.(b)
+    done;
     mem := !mem +. memory_cycles t r
   done;
   (counts, !mem)

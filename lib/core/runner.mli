@@ -5,7 +5,10 @@
     The runner is a timing layer over a {!Tape}: the tape interprets each
     invocation once (its class cache reusing results when the trace
     declares classes), and the runner turns the recorded block counts
-    into a version's time.  The runner owns the simulated machine state
+    and per-base touch counts into a version's time — Eq. 1's dot
+    product plus a {!Peak_machine.Memsys} charge over the section's base
+    slots ({!Tsection.bases}), with the bytes per slot resolved once at
+    creation.  The runner owns the simulated machine state
     (memory system, noise stream, perturbation draws), the fault plan,
     the tuning-time ledger and the pass bookkeeping.  All raters consume
     invocations through {!step} (one timed execution of one version) or

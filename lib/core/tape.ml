@@ -55,7 +55,7 @@ let unread =
     mem_reads = 0;
     mem_writes = 0;
     flops = 0;
-    array_accesses = [];
+    touches = [||];
     impure_calls = 0;
   }
 
@@ -125,7 +125,7 @@ let interpret t e k =
     t.steps <- t.steps + Interp.scratch_steps e.scratch;
     (* fresh snapshot: the counts array escapes into samples and the
        class cache, so it must not alias the reused scratch *)
-    Interp.result_of_scratch e.compiled e.scratch
+    Interp.result_of_scratch e.scratch
   in
   match e.trace.Trace.class_of with
   | None -> run ()

@@ -10,7 +10,8 @@
     it:
     - the {e context}: the values of the section's candidate context
       sources ({!Context_analysis}), read after the trace's setup;
-    - the {!Peak_ir.Interp.result};
+    - the {!Peak_ir.Interp.result}: block counts and per-base touch
+      counts, stored once per ordinal;
     - the RBR save/restore {e payload} ({!Snapshot.measure_bytes}),
       measured after the interpreter has run.
 

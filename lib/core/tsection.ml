@@ -2,7 +2,8 @@
 
     Everything PEAK derives at compile time about a TS (Section 3's
     instrumentation step) hangs off this bundle: the CFG, static
-    features, points-to facts, reaching definitions, and liveness. *)
+    features, points-to facts, reaching definitions, liveness, and the
+    table of memory bases. *)
 
 open Peak_ir
 
@@ -13,6 +14,7 @@ type t = {
   pointsto : Pointsto.t;
   defuse : Defuse.t;
   liveness : Liveness.t;
+  bases : string array;
 }
 
 let make ts =
@@ -21,7 +23,7 @@ let make ts =
   let pointsto = Pointsto.analyze cfg in
   let defuse = Defuse.analyze cfg pointsto in
   let liveness = Liveness.analyze cfg pointsto in
-  { ts; cfg; features; pointsto; defuse; liveness }
+  { ts; cfg; features; pointsto; defuse; liveness; bases = Interp.bases cfg }
 
 let name t = t.ts.Types.name
 

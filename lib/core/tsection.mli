@@ -2,7 +2,8 @@
 
     Everything PEAK derives at compile time about a TS (Section 3's
     instrumentation step) hangs off this bundle: the CFG, static block
-    features, points-to facts, reaching definitions, and liveness. *)
+    features, points-to facts, reaching definitions, liveness, and the
+    table of memory bases. *)
 
 open Peak_ir
 
@@ -13,6 +14,10 @@ type t = {
   pointsto : Pointsto.t;
   defuse : Defuse.t;
   liveness : Liveness.t;
+  bases : string array;
+      (** The memory bases the section touches, ascending by name
+          ({!Interp.bases}): the slots of an interpretation's touch
+          counts and of a runner's memory system. *)
 }
 
 val make : Types.ts -> t

@@ -244,9 +244,42 @@ type result = {
   mem_reads : int;
   mem_writes : int;
   flops : int;
-  array_accesses : (string * int) list;
+  touches : int array;
   impure_calls : int;
 }
+
+(* The bases a CFG touches, ascending by name: what its Index, Store,
+   Deref and pointer-store operations name, in every block. *)
+let bases (cfg : Cfg.t) =
+  let acc = ref [] in
+  let rec expr = function
+    | Types.Const _ | Types.Var _ -> ()
+    | Types.Index (a, sub) ->
+        acc := a :: !acc;
+        expr sub
+    | Types.Deref p -> acc := p :: !acc
+    | Types.Unop (_, e) -> expr e
+    | Types.Binop (_, a, b) | Types.Cmp (_, a, b) ->
+        expr a;
+        expr b
+  in
+  let stmt = function
+    | Cfg.SAssign (_, e) -> expr e
+    | Cfg.SStore (a, i, e) ->
+        acc := a :: !acc;
+        expr i;
+        expr e
+    | Cfg.SPtrStore (p, e) ->
+        acc := p :: !acc;
+        expr e
+    | Cfg.SPtrSet _ | Cfg.SCall _ -> ()
+  in
+  Array.iter
+    (fun (b : Cfg.bblock) ->
+      Array.iter stmt b.Cfg.stmts;
+      match b.Cfg.term with Cfg.Branch (c, _, _) -> expr c | Cfg.Goto _ | Cfg.Exit -> ())
+    cfg.Cfg.blocks;
+  Array.of_list (List.sort_uniq String.compare !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -303,14 +336,13 @@ type compiled = {
   cp_blocks : cblock array;
   cp_entry : int;
   cp_stack_depth : int;
-  cp_base_names : string array;  (* counter id -> base name *)
-  cp_base_order : int array;  (* counter ids in ascending name order *)
+  cp_bases : int;  (* access counters: one per slot of [bases] *)
 }
 
 type scratch = {
   sc_stack : float array;
   sc_block_counts : int array;
-  sc_accesses : int array;  (* per counter id *)
+  sc_accesses : int array;  (* per base slot *)
   mutable sc_reads : int;
   mutable sc_writes : int;
   mutable sc_flops : int;
@@ -320,19 +352,12 @@ type scratch = {
 }
 
 let compile (cfg : Cfg.t) env =
+  (* access counter ids are the slots of [bases]: a result's touches
+     come out in ascending name order with no sort *)
+  let names = bases cfg in
   let base_ids = Hashtbl.create 8 in
-  let base_names = ref [] in
-  let n_bases = ref 0 in
-  let base_id name =
-    match Hashtbl.find_opt base_ids name with
-    | Some b -> b
-    | None ->
-        let b = !n_bases in
-        Hashtbl.add base_ids name b;
-        base_names := name :: !base_names;
-        incr n_bases;
-        b
-  in
+  Array.iteri (fun b name -> Hashtbl.add base_ids name b) names;
+  let base_id name = Hashtbl.find base_ids name in
   let max_depth = ref 1 in
   let scalar_read_instr v =
     let s = scalar_slot env v in
@@ -411,24 +436,20 @@ let compile (cfg : Cfg.t) env =
         })
       cfg.Cfg.blocks
   in
-  let names = Array.of_list (List.rev !base_names) in
-  let order = Array.init (Array.length names) (fun i -> i) in
-  Array.sort (fun i j -> compare names.(i) names.(j)) order;
   {
     cp_env = env;
     cp_name = cfg.Cfg.ts.Types.name;
     cp_blocks = blocks;
     cp_entry = cfg.Cfg.entry;
     cp_stack_depth = !max_depth;
-    cp_base_names = names;
-    cp_base_order = order;
+    cp_bases = Array.length names;
   }
 
 let make_scratch cp =
   {
     sc_stack = Array.make (max 1 cp.cp_stack_depth) 0.0;
     sc_block_counts = Array.make (Array.length cp.cp_blocks) 0;
-    sc_accesses = Array.make (Array.length cp.cp_base_names) 0;
+    sc_accesses = Array.make cp.cp_bases 0;
     sc_reads = 0;
     sc_writes = 0;
     sc_flops = 0;
@@ -640,22 +661,15 @@ let run_compiled ?(max_steps = 10_000_000) cp sc =
 
 let scratch_steps sc = Array.fold_left ( + ) 0 sc.sc_block_counts
 
-(* Snapshot a scratch into a fresh result.  Accesses are emitted in
-   ascending base-name order — a deterministic, documented ordering
-   (the hashtable fold it replaces surfaced them in unspecified order). *)
-let result_of_scratch cp sc =
-  let accesses = ref [] in
-  for k = Array.length cp.cp_base_order - 1 downto 0 do
-    let b = cp.cp_base_order.(k) in
-    if sc.sc_accesses.(b) > 0 then
-      accesses := (cp.cp_base_names.(b), sc.sc_accesses.(b)) :: !accesses
-  done;
+(* Snapshot a scratch into a fresh result: the counter arrays are
+   copied, since the scratch is reused by the next invocation. *)
+let result_of_scratch sc =
   {
     block_counts = Array.copy sc.sc_block_counts;
     mem_reads = sc.sc_reads;
     mem_writes = sc.sc_writes;
     flops = sc.sc_flops;
-    array_accesses = !accesses;
+    touches = Array.copy sc.sc_accesses;
     impure_calls = sc.sc_calls;
   }
 
@@ -663,7 +677,7 @@ let run ?max_steps (cfg : Cfg.t) env =
   let cp = compile cfg env in
   let sc = make_scratch cp in
   run_compiled ?max_steps cp sc;
-  result_of_scratch cp sc
+  result_of_scratch sc
 
 (* ------------------------------------------------------------------ *)
 (* Uncounted evaluation (compat)                                       *)
@@ -703,141 +717,3 @@ let read_source env = function
   | Expr.Array_elem (a, None) ->
       raise (Out_of_bounds (Printf.sprintf "%s[non-constant] is not a context source" a))
   | Expr.Pointer_deref p -> get_scalar env (deref_target env p)
-
-(* ------------------------------------------------------------------ *)
-(* Reference interpreter                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The original string-keyed hashtable interpreter, kept as the
-   executable specification the compiled path is differentially tested
-   against (see test/test_compile.ml).  It carries the same three bug
-   fixes as the compiled path: negative fractional indices raise, access
-   lists are name-sorted, and a branch charges no flop beyond its
-   comparison. *)
-module Reference = struct
-  type renv = {
-    scalars : (string, float) Hashtbl.t;
-    arrays : (string, float array) Hashtbl.t;
-    pointers : (string, string) Hashtbl.t;
-  }
-
-  let make_env (ts : Types.ts) =
-    let scalars = Hashtbl.create 16 in
-    List.iter (fun v -> Hashtbl.replace scalars v 0.0) ts.params;
-    List.iter (fun v -> Hashtbl.replace scalars v 0.0) ts.locals;
-    let arrays = Hashtbl.create 8 in
-    List.iter (fun (a, n) -> Hashtbl.replace arrays a (Array.make n 0.0)) ts.arrays;
-    let pointers = Hashtbl.create 4 in
-    List.iter (fun (p, target) -> Hashtbl.replace pointers p target) ts.pointers;
-    { scalars; arrays; pointers }
-
-  let set_scalar env v x = Hashtbl.replace env.scalars v x
-
-  let get_scalar env v =
-    match Hashtbl.find_opt env.scalars v with Some x -> x | None -> unknown_scalar v
-
-  let set_array env a x = Hashtbl.replace env.arrays a x
-
-  let get_array env a =
-    match Hashtbl.find_opt env.arrays a with Some x -> x | None -> unknown_array a
-
-  let get_pointer env p =
-    match Hashtbl.find_opt env.pointers p with Some t -> t | None -> unknown_pointer p
-
-  type counters = {
-    mutable reads : int;
-    mutable writes : int;
-    mutable flops : int;
-    mutable calls : int;
-    accesses : (string, int) Hashtbl.t;
-  }
-
-  let touch counters base =
-    Hashtbl.replace counters.accesses base
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counters.accesses base))
-
-  let array_ref env counters a i_float context =
-    let arr = get_array env a in
-    let i = int_of_float i_float in
-    if i_float < 0.0 || i >= Array.length arr then
-      oob_index a i_float (Array.length arr) context;
-    touch counters a;
-    (arr, i)
-
-  let rec eval_counted env counters e =
-    match e with
-    | Types.Const k -> k
-    | Types.Var v -> get_scalar env v
-    | Types.Index (a, sub) ->
-        let i = eval_counted env counters sub in
-        let arr, idx = array_ref env counters a i "read" in
-        counters.reads <- counters.reads + 1;
-        arr.(idx)
-    | Types.Deref p ->
-        let target = get_pointer env p in
-        counters.reads <- counters.reads + 1;
-        touch counters p;
-        get_scalar env target
-    | Types.Unop (op, e) ->
-        counters.flops <- counters.flops + 1;
-        Expr.apply_unop op (eval_counted env counters e)
-    | Types.Binop (op, a, b) ->
-        let x = eval_counted env counters a in
-        let y = eval_counted env counters b in
-        counters.flops <- counters.flops + 1;
-        Expr.apply_binop op x y
-    | Types.Cmp (op, a, b) ->
-        let x = eval_counted env counters a in
-        let y = eval_counted env counters b in
-        counters.flops <- counters.flops + 1;
-        Expr.apply_cmp op x y
-
-  let run ?(max_steps = 10_000_000) (cfg : Cfg.t) env =
-    let counters =
-      { reads = 0; writes = 0; flops = 0; calls = 0; accesses = Hashtbl.create 8 }
-    in
-    let n = Cfg.n_blocks cfg in
-    let block_counts = Array.make n 0 in
-    let steps = ref 0 in
-    let exec_simple (s : Cfg.simple) =
-      match s with
-      | SAssign (x, e) -> set_scalar env x (eval_counted env counters e)
-      | SStore (a, i, e) ->
-          let idx_v = eval_counted env counters i in
-          let value = eval_counted env counters e in
-          let arr, idx = array_ref env counters a idx_v "write" in
-          counters.writes <- counters.writes + 1;
-          arr.(idx) <- value
-      | SPtrStore (p, e) ->
-          let value = eval_counted env counters e in
-          let target = get_pointer env p in
-          counters.writes <- counters.writes + 1;
-          touch counters p;
-          set_scalar env target value
-      | SPtrSet (p, v) -> Hashtbl.replace env.pointers p v
-      | SCall f ->
-          if not (Types.is_pure_external f) then counters.calls <- counters.calls + 1
-    in
-    let rec go id =
-      incr steps;
-      if !steps > max_steps then step_limit cfg.ts.name max_steps;
-      block_counts.(id) <- block_counts.(id) + 1;
-      let b = Cfg.block cfg id in
-      Array.iter exec_simple b.stmts;
-      match b.term with
-      | Goto next -> go next
-      | Branch (c, if_true, if_false) ->
-          go (if eval_counted env counters c <> 0.0 then if_true else if_false)
-      | Exit -> ()
-    in
-    go cfg.entry;
-    {
-      block_counts;
-      mem_reads = counters.reads;
-      mem_writes = counters.writes;
-      flops = counters.flops;
-      array_accesses =
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters.accesses []);
-      impure_calls = counters.calls;
-    }
-end

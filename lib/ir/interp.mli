@@ -28,10 +28,18 @@ type result = {
   mem_reads : int;
   mem_writes : int;
   flops : int;
-  array_accesses : (string * int) list;
-      (** Accesses per array/pointee base, sorted by base name. *)
+  touches : int array;
+      (** Accesses per memory base, by slot of {!bases}: slot [i] counts
+          the reads and writes of base [i]. *)
   impure_calls : int;
 }
+
+val bases : Cfg.t -> string array
+(** The memory bases a CFG touches — every array it indexes or stores
+    to and every pointer it dereferences or stores through — once each,
+    ascending by name.  The table numbers {!result.touches}, and a
+    runner's memory system numbers its slots by it too, so the table is
+    known from the CFG alone, before anything runs. *)
 
 exception Out_of_bounds of string
 (** Raised on an array access outside the declared extent. *)
@@ -90,9 +98,8 @@ val run_compiled : ?max_steps:int -> compiled -> scratch -> unit
 val scratch_steps : scratch -> int
 (** Total block entries recorded by the last [run_compiled]. *)
 
-val result_of_scratch : compiled -> scratch -> result
-(** Fresh {!result} snapshot of the scratch counters ([array_accesses]
-    sorted by base name). *)
+val result_of_scratch : scratch -> result
+(** Fresh {!result} snapshot of the scratch counters. *)
 
 val run : ?max_steps:int -> Cfg.t -> env -> result
 (** Compatibility one-shot: [compile] + [run_compiled] + snapshot.
@@ -100,27 +107,3 @@ val run : ?max_steps:int -> Cfg.t -> env -> result
 
 val eval : env -> Types.expr -> float
 (** Expression evaluation against the environment (exposed for tests). *)
-
-(** {1 Reference interpreter}
-
-    The original string-keyed hashtable interpreter, kept as the
-    executable specification that the compiled path is differentially
-    tested against (test/test_compile.ml).  It shares the three
-    accounting fixes: negative fractional indices raise, access lists
-    are name-sorted, and a branch charges no flop beyond its
-    comparison's. *)
-module Reference : sig
-  type renv = {
-    scalars : (string, float) Hashtbl.t;
-    arrays : (string, float array) Hashtbl.t;
-    pointers : (string, string) Hashtbl.t;
-  }
-
-  val make_env : Types.ts -> renv
-  val set_scalar : renv -> string -> float -> unit
-  val get_scalar : renv -> string -> float
-  val set_array : renv -> string -> float array -> unit
-  val get_array : renv -> string -> float array
-  val get_pointer : renv -> string -> string
-  val run : ?max_steps:int -> Cfg.t -> renv -> result
-end

@@ -209,3 +209,236 @@ let ts_pass_cycles ?(seed = 5) (benchmark : Benchmark.t) machine config dataset 
   let trace = benchmark.Benchmark.trace dataset ~seed in
   let runner = Runner.create ~seed ~context_switch_rate:0.0 tsec trace machine in
   Runner.run_full_pass runner (Version.compile machine tsec.Tsection.features config)
+
+(* The string-keyed hashtable interpreter the compiled interpreter
+   replaced, kept as the executable specification it is differentially
+   tested against (test_compile.ml).  It carries the same three
+   accounting rules as the compiled path: negative fractional indices
+   raise, a branch charges no flop beyond its comparison's, and touches
+   are numbered by [Interp.bases] — a touch of a base outside that table
+   fails the oracle, so the table is checked along with the counts. *)
+module Reference_interp = struct
+  open Peak_ir
+
+  type renv = {
+    scalars : (string, float) Hashtbl.t;
+    arrays : (string, float array) Hashtbl.t;
+    pointers : (string, string) Hashtbl.t;
+  }
+
+  let oob fmt = Printf.ksprintf (fun m -> raise (Interp.Out_of_bounds m)) fmt
+
+  let make_env (ts : Types.ts) =
+    let scalars = Hashtbl.create 16 in
+    List.iter (fun v -> Hashtbl.replace scalars v 0.0) ts.params;
+    List.iter (fun v -> Hashtbl.replace scalars v 0.0) ts.locals;
+    let arrays = Hashtbl.create 8 in
+    List.iter (fun (a, n) -> Hashtbl.replace arrays a (Array.make n 0.0)) ts.arrays;
+    let pointers = Hashtbl.create 4 in
+    List.iter (fun (p, target) -> Hashtbl.replace pointers p target) ts.pointers;
+    { scalars; arrays; pointers }
+
+  let set_scalar env v x = Hashtbl.replace env.scalars v x
+
+  let get_scalar env v =
+    match Hashtbl.find_opt env.scalars v with Some x -> x | None -> oob "unknown scalar %s" v
+
+  let set_array env a x = Hashtbl.replace env.arrays a x
+
+  let get_array env a =
+    match Hashtbl.find_opt env.arrays a with Some x -> x | None -> oob "unknown array %s" a
+
+  let get_pointer env p =
+    match Hashtbl.find_opt env.pointers p with Some t -> t | None -> oob "unknown pointer %s" p
+
+  type counters = {
+    mutable reads : int;
+    mutable writes : int;
+    mutable flops : int;
+    mutable calls : int;
+    accesses : (string, int) Hashtbl.t;
+  }
+
+  let touch counters base =
+    Hashtbl.replace counters.accesses base
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counters.accesses base))
+
+  let array_ref env counters a i_float context =
+    let arr = get_array env a in
+    let i = int_of_float i_float in
+    if i_float < 0.0 || i >= Array.length arr then
+      oob "%s[%d] out of [0,%d) in %s" a (int_of_float (floor i_float)) (Array.length arr)
+        context;
+    touch counters a;
+    (arr, i)
+
+  let rec eval_counted env counters e =
+    match e with
+    | Types.Const k -> k
+    | Types.Var v -> get_scalar env v
+    | Types.Index (a, sub) ->
+        let i = eval_counted env counters sub in
+        let arr, idx = array_ref env counters a i "read" in
+        counters.reads <- counters.reads + 1;
+        arr.(idx)
+    | Types.Deref p ->
+        let target = get_pointer env p in
+        counters.reads <- counters.reads + 1;
+        touch counters p;
+        get_scalar env target
+    | Types.Unop (op, e) ->
+        counters.flops <- counters.flops + 1;
+        Expr.apply_unop op (eval_counted env counters e)
+    | Types.Binop (op, a, b) ->
+        let x = eval_counted env counters a in
+        let y = eval_counted env counters b in
+        counters.flops <- counters.flops + 1;
+        Expr.apply_binop op x y
+    | Types.Cmp (op, a, b) ->
+        let x = eval_counted env counters a in
+        let y = eval_counted env counters b in
+        counters.flops <- counters.flops + 1;
+        Expr.apply_cmp op x y
+
+  let run ?(max_steps = 10_000_000) (cfg : Cfg.t) env =
+    let counters =
+      { reads = 0; writes = 0; flops = 0; calls = 0; accesses = Hashtbl.create 8 }
+    in
+    let block_counts = Array.make (Cfg.n_blocks cfg) 0 in
+    let steps = ref 0 in
+    let exec_simple (s : Cfg.simple) =
+      match s with
+      | SAssign (x, e) -> set_scalar env x (eval_counted env counters e)
+      | SStore (a, i, e) ->
+          let idx_v = eval_counted env counters i in
+          let value = eval_counted env counters e in
+          let arr, idx = array_ref env counters a idx_v "write" in
+          counters.writes <- counters.writes + 1;
+          arr.(idx) <- value
+      | SPtrStore (p, e) ->
+          let value = eval_counted env counters e in
+          let target = get_pointer env p in
+          counters.writes <- counters.writes + 1;
+          touch counters p;
+          set_scalar env target value
+      | SPtrSet (p, v) -> Hashtbl.replace env.pointers p v
+      | SCall f ->
+          if not (Types.is_pure_external f) then counters.calls <- counters.calls + 1
+    in
+    let rec go id =
+      incr steps;
+      if !steps > max_steps then
+        raise
+          (Interp.Step_limit_exceeded
+             (Printf.sprintf "%s: > %d block entries" cfg.ts.name max_steps));
+      block_counts.(id) <- block_counts.(id) + 1;
+      let b = Cfg.block cfg id in
+      Array.iter exec_simple b.stmts;
+      match b.term with
+      | Goto next -> go next
+      | Branch (c, if_true, if_false) ->
+          go (if eval_counted env counters c <> 0.0 then if_true else if_false)
+      | Exit -> ()
+    in
+    go cfg.entry;
+    let bases = Interp.bases cfg in
+    Hashtbl.iter
+      (fun base _ ->
+        if not (Array.mem base bases) then
+          failwith ("Reference_interp: touched base " ^ base ^ " has no slot"))
+      counters.accesses;
+    {
+      Interp.block_counts;
+      mem_reads = counters.reads;
+      mem_writes = counters.writes;
+      flops = counters.flops;
+      touches =
+        Array.map
+          (fun base -> Option.value ~default:0 (Hashtbl.find_opt counters.accesses base))
+          bases;
+      impure_calls = counters.calls;
+    }
+end
+
+(* The name-keyed list memory system the slot-indexed [Memsys]
+   replaced: residency is a list of named entries, searched and refolded
+   on every touch.  The slot model must charge bit-identically and leave
+   the same residency after every step (test_machine.ml). *)
+module List_memsys = struct
+  open Peak_machine
+
+  type access = { base : string; bytes : int; touches : int }
+  type entry = { name : string; mutable size : int; mutable stamp : int }
+
+  type t = {
+    machine : Machine.t;
+    capacity : int;
+    rng : Peak_util.Rng.t option;
+    mutable entries : entry list;
+    mutable clock : int;
+  }
+
+  let create ?rng (machine : Machine.t) =
+    { machine; capacity = machine.l2_bytes; rng; entries = []; clock = 0 }
+
+  let flush t = t.entries <- []
+  let is_resident t name = List.exists (fun e -> e.name = name) t.entries
+  let resident_bytes t = List.fold_left (fun acc e -> acc + e.size) 0 t.entries
+
+  let evict_to_capacity t =
+    let rec go () =
+      if resident_bytes t > t.capacity then begin
+        match t.entries with
+        | [] -> ()
+        | first :: _ ->
+            (* evict least recently stamped *)
+            let lru =
+              List.fold_left (fun acc e -> if e.stamp < acc.stamp then e else acc) first
+                t.entries
+            in
+            t.entries <- List.filter (fun e -> e != lru) t.entries;
+            go ()
+      end
+    in
+    go ()
+
+  let touch t (a : access) =
+    t.clock <- t.clock + 1;
+    let cached_bytes = min a.bytes t.capacity in
+    (match List.find_opt (fun e -> e.name = a.base) t.entries with
+    | Some e ->
+        e.stamp <- t.clock;
+        e.size <- max e.size cached_bytes
+    | None -> t.entries <- { name = a.base; size = cached_bytes; stamp = t.clock } :: t.entries);
+    evict_to_capacity t
+
+  let miss_lines t (a : access) ~resident =
+    let line = t.machine.l2_line in
+    let lines_touched = max 1 ((a.bytes + line - 1) / line) in
+    let cold = if resident then 0.0 else float_of_int (min lines_touched a.touches) in
+    let capacity =
+      if a.bytes <= t.capacity then 0.0
+      else begin
+        let uncached_fraction = 1.0 -. (float_of_int t.capacity /. float_of_int a.bytes) in
+        let elems_per_line = float_of_int (line / 8) in
+        let base = float_of_int a.touches /. elems_per_line *. uncached_fraction in
+        match t.rng with
+        | None -> base
+        | Some rng -> base *. Float.max 0.2 (Peak_util.Rng.gaussian rng ~mean:1.0 ~stddev:0.25)
+      end
+    in
+    cold +. capacity
+
+  let charge t accesses =
+    let miss_cost = t.machine.mem_cycles -. t.machine.l1_hit_cycles in
+    List.fold_left
+      (fun acc a ->
+        if a.touches <= 0 || a.bytes <= 0 then acc
+        else begin
+          let resident = is_resident t a.base in
+          let cost = miss_lines t a ~resident *. miss_cost in
+          touch t a;
+          acc +. cost
+        end)
+      0.0 accesses
+end

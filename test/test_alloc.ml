@@ -67,8 +67,8 @@ let test_summarize_into_budget () =
   end
 
 (* A rating runner following another through a shared tape reads the
-   recorded interpretation and pays for timing only: about half the
-   bytes of an interpreting step (budget 4096, as in
+   recorded interpretation and pays for timing only, over integer slots:
+   little more than the sample it returns (budget 256, as in
    ci/alloc_budget.json). *)
 let test_runner_replay_budget () =
   if native then begin
@@ -94,8 +94,8 @@ let test_runner_replay_budget () =
     let per_call = bytes_per_call (fun () -> Peak.Runner.step follower version) n in
     Alcotest.(check int) "the follower interpreted nothing" interpreted
       (Peak.Tape.interpreted tape);
-    if per_call > 4096.0 then
-      Alcotest.failf "a replayed Runner.step allocates %.1f bytes (budget 4096)" per_call
+    if per_call > 256.0 then
+      Alcotest.failf "a replayed Runner.step allocates %.1f bytes (budget 256)" per_call
   end
 
 (* Compiling a version tests resolved flags, never names: a compile of

@@ -1,11 +1,13 @@
 (* Differential testing of the compiled (slot-resolved) interpreter
    against the string-keyed reference interpreter.
 
-   [Interp.Reference] is the original hashtable implementation kept as an
-   executable specification; the compiled path must be observably
-   identical on every program: block counts, dynamic counters, the
-   name-sorted access list, final environment state over declared names,
-   and the exception (constructor and message) on failing runs. *)
+   [Oracles.Reference_interp] is the original hashtable implementation
+   kept as an executable specification; the compiled path must be
+   observably identical on every program: block counts, dynamic
+   counters, the touch counts per base (numbered by [Interp.bases], which
+   the reference checks covers every base it touched), final environment
+   state over declared names, and the exception (constructor and
+   message) on failing runs. *)
 
 open Peak_ir
 module B = Builder
@@ -34,7 +36,7 @@ type outcome =
       reads : int;
       writes : int;
       flops : int;
-      accesses : (string * int) list;
+      touches : int array;
       calls : int;
       final_scalars : (string * float) list;
       final_arrays : (string * float array) list;
@@ -50,7 +52,7 @@ let finished (r : Interp.result) final_scalars final_arrays final_pointer =
       reads = r.Interp.mem_reads;
       writes = r.Interp.mem_writes;
       flops = r.Interp.flops;
-      accesses = r.Interp.array_accesses;
+      touches = r.Interp.touches;
       calls = r.Interp.impure_calls;
       final_scalars;
       final_arrays;
@@ -74,7 +76,7 @@ let compiled_outcome ?max_steps ts n =
   | exception Interp.Step_limit_exceeded m -> Limit m
 
 let reference_outcome ?max_steps ts n =
-  let module R = Interp.Reference in
+  let module R = Oracles.Reference_interp in
   let cfg = Cfg.of_ts ts in
   let env = R.make_env ts in
   R.set_scalar env "x" 3.0;
@@ -224,7 +226,7 @@ let prop_scratch_reuse_deterministic =
         List.iter (fun a -> Interp.set_array env a (input_array a)) array_names;
         match Interp.run_compiled compiled scratch with
         | () ->
-            let r = Interp.result_of_scratch compiled scratch in
+            let r = Interp.result_of_scratch scratch in
             finished r
               (List.map (fun s -> (s, Interp.get_scalar env s)) scalars)
               (List.map (fun a -> (a, Array.copy (Interp.get_array env a))) array_names)

@@ -202,8 +202,8 @@ let test_negative_index_rejected () =
     [ read_ts; write_ts ]
 
 let test_sorted_array_accesses () =
-  (* the access list is sorted by base name regardless of touch order —
-     it used to surface in Hashtbl iteration order *)
+  (* touch slots follow base names, not the order the section touches
+     them in *)
   let ts =
     B.ts ~name:"acc" ~params:[] ~arrays:[ ("zz", 2); ("mm", 2); ("aa", 2) ] ~locals:[ "r" ]
       B.
@@ -215,10 +215,8 @@ let test_sorted_array_accesses () =
   let cfg = Cfg.of_ts ts in
   let env = Interp.make_env ts in
   let r = Interp.run cfg env in
-  Alcotest.(check (list (pair string int)))
-    "sorted by base name"
-    [ ("aa", 1); ("mm", 1); ("zz", 2) ]
-    r.Interp.array_accesses
+  Alcotest.(check (array string)) "bases sorted by name" [| "aa"; "mm"; "zz" |] (Interp.bases cfg);
+  Alcotest.(check (array int)) "touches by base slot" [| 1; 1; 2 |] r.Interp.touches
 
 let test_flop_accounting () =
   (* a branch charges no flop beyond its comparison's: the old
@@ -239,8 +237,8 @@ let test_dynamic_counters () =
   (* per iteration: read b[i]; tail: read a[0]; writes: a[i] each iter *)
   Alcotest.(check int) "reads" 9 result.mem_reads;
   Alcotest.(check int) "writes" 8 result.mem_writes;
-  Alcotest.(check bool) "touched a" true (List.mem_assoc "a" result.array_accesses);
-  Alcotest.(check bool) "touched b" true (List.mem_assoc "b" result.array_accesses)
+  Alcotest.(check (array string)) "bases" [| "a"; "b" |] (Interp.bases (Cfg.of_ts figure2_ts));
+  Alcotest.(check (array int)) "touched a and b" [| 9; 8 |] result.touches
 
 let test_copy_env_isolation () =
   let ts = figure2_ts in

@@ -82,49 +82,54 @@ let test_cache_working_set_behaviour () =
 (* Memsys                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let acc base bytes touches = { Memsys.base; bytes; touches }
+(* A memory system over slots of the given extents. *)
+let memsys machine bytes = Memsys.create machine ~bytes:(Array.of_list bytes)
 
 let test_memsys_cold_then_warm () =
-  let m = Memsys.create Machine.sparc2 in
-  let a = [ acc "a" 4096 512 ] in
-  let cold = Memsys.charge m a in
-  let warm = Memsys.charge m a in
+  let m = memsys Machine.sparc2 [ 4096 ] in
+  let cold = Memsys.charge m [| 512 |] in
+  let warm = Memsys.charge m [| 512 |] in
   Alcotest.(check bool) "cold charge positive" true (cold > 0.0);
   Alcotest.(check (float 1e-9)) "warm charge zero for cache-fitting array" 0.0 warm;
-  Alcotest.(check bool) "resident" true (Memsys.is_resident m "a")
+  Alcotest.(check bool) "resident" true (Memsys.is_resident m 0)
 
 let test_memsys_warm_preconditions () =
-  let m = Memsys.create Machine.sparc2 in
-  Memsys.warm m [ acc "a" 4096 512 ];
-  Alcotest.(check (float 1e-9)) "no charge after warm" 0.0 (Memsys.charge m [ acc "a" 4096 512 ])
+  (* RBR's preconditioning execution is charged like a timed one: after
+     it, the timed execution of either version finds both arrays warm *)
+  let m = memsys Machine.sparc2 [ 4096; 8192 ] in
+  ignore (Memsys.charge m [| 512; 1024 |]);
+  Alcotest.(check (float 1e-9)) "no charge after preconditioning" 0.0
+    (Memsys.charge m [| 512; 1024 |]);
+  Alcotest.(check (float 1e-9)) "nor for one slot of it" 0.0 (Memsys.charge m [| 0; 1024 |])
 
 let test_memsys_flush () =
-  let m = Memsys.create Machine.sparc2 in
-  ignore (Memsys.charge m [ acc "a" 4096 512 ]);
+  let m = memsys Machine.sparc2 [ 4096 ] in
+  ignore (Memsys.charge m [| 512 |]);
   Memsys.flush m;
-  Alcotest.(check bool) "flushed" false (Memsys.is_resident m "a");
-  Alcotest.(check bool) "cold again" true (Memsys.charge m [ acc "a" 4096 512 ] > 0.0)
+  Alcotest.(check bool) "flushed" false (Memsys.is_resident m 0);
+  Alcotest.(check int) "nothing resident" 0 (Memsys.resident_bytes m);
+  Alcotest.(check bool) "cold again" true (Memsys.charge m [| 512 |] > 0.0)
 
 let test_memsys_eviction () =
-  let m = Memsys.create Machine.pentium4 in
+  let m = memsys Machine.pentium4 [ 409600; 409600 ] in
   (* P4 L2 = 512K; two 400K arrays cannot both stay resident *)
-  ignore (Memsys.charge m [ acc "a" 409600 1000 ]);
-  ignore (Memsys.charge m [ acc "b" 409600 1000 ]);
-  Alcotest.(check bool) "b resident" true (Memsys.is_resident m "b");
-  Alcotest.(check bool) "a evicted" false (Memsys.is_resident m "a");
+  ignore (Memsys.charge m [| 1000; 0 |]);
+  ignore (Memsys.charge m [| 0; 1000 |]);
+  Alcotest.(check bool) "b resident" true (Memsys.is_resident m 1);
+  Alcotest.(check bool) "a evicted" false (Memsys.is_resident m 0);
   Alcotest.(check bool) "capacity respected" true
     (Memsys.resident_bytes m <= Machine.pentium4.l2_bytes)
 
 let test_memsys_oversized_array_always_charges () =
-  let m = Memsys.create Machine.pentium4 in
-  let big = [ acc "huge" (4 * 1024 * 1024) 100000 ] in
-  ignore (Memsys.charge m big);
-  let again = Memsys.charge m big in
+  let m = memsys Machine.pentium4 [ 4 * 1024 * 1024 ] in
+  ignore (Memsys.charge m [| 100000 |]);
+  let again = Memsys.charge m [| 100000 |] in
   Alcotest.(check bool) "capacity misses persist" true (again > 0.0)
 
 let test_memsys_zero_touch_free () =
-  let m = Memsys.create Machine.sparc2 in
-  Alcotest.(check (float 1e-9)) "no touches, no cost" 0.0 (Memsys.charge m [ acc "a" 4096 0 ])
+  let m = memsys Machine.sparc2 [ 4096 ] in
+  Alcotest.(check (float 1e-9)) "no touches, no cost" 0.0 (Memsys.charge m [| 0 |]);
+  Alcotest.(check bool) "and no residency" false (Memsys.is_resident m 0)
 
 (* ------------------------------------------------------------------ *)
 (* Noise                                                               *)
@@ -230,20 +235,77 @@ let prop_memsys_nonnegative =
     QCheck.(pair (int_range 1 20) (int_range 0 10000))
     (fun (n, seed) ->
       let rng = Rng.create ~seed in
-      let m = Memsys.create Machine.pentium4 in
+      let m = memsys Machine.pentium4 (List.init 5 (fun _ -> 8 * (1 + Rng.int rng 100_000))) in
       let ok = ref true in
-      for i = 0 to n - 1 do
-        let a =
-          {
-            Memsys.base = Printf.sprintf "a%d" (Rng.int rng 5);
-            bytes = 8 * (1 + Rng.int rng 100_000);
-            touches = Rng.int rng 10_000;
-          }
-        in
-        ignore i;
-        if Memsys.charge m [ a ] < 0.0 then ok := false
+      for _ = 1 to n do
+        let touches = Array.make 5 0 in
+        touches.(Rng.int rng 5) <- Rng.int rng 10_000;
+        if Memsys.charge m touches < 0.0 then ok := false
       done;
       !ok)
+
+(* The slot memory system against the name-keyed list model it replaced
+   (Oracles.List_memsys): over a random stream of invocations on a small
+   base universe — extents on both sides of the machine's L2 capacity,
+   zero touches, interleaved flushes — every charge is bit-identical and
+   the residency equal after every step, without jitter and with a
+   jitter RNG seeded alike on both sides. *)
+let prop_memsys_matches_list_model =
+  QCheck.Test.make ~name:"slot memsys matches the list model" ~count:300
+    QCheck.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, p4) ->
+      let machine = if p4 then Machine.pentium4 else Machine.sparc2 in
+      let cap = machine.Machine.l2_bytes in
+      let rng = Rng.create ~seed in
+      let n = 1 + Rng.int rng 6 in
+      let names = Array.init n (Printf.sprintf "b%d") in
+      let bytes =
+        Array.init n (fun _ ->
+            match Rng.int rng 8 with
+            | 0 -> 0
+            | 1 | 2 -> 8 * (1 + Rng.int rng 2048)
+            | 3 | 4 -> (cap / 4) + Rng.int rng cap
+            | _ -> cap + Rng.int rng (3 * cap))
+      in
+      let stream =
+        List.init
+          (1 + Rng.int rng 60)
+          (fun _ ->
+            if Rng.int rng 10 = 0 then None
+            else
+              Some
+                (Array.init n (fun _ ->
+                     if Rng.int rng 5 < 2 then 0 else 1 + Rng.int rng 20_000)))
+      in
+      let run jitter =
+        let rng () = if jitter then Some (Rng.create ~seed:(seed + 1)) else None in
+        let slot = Memsys.create ?rng:(rng ()) machine ~bytes in
+        let oracle = Oracles.List_memsys.create ?rng:(rng ()) machine in
+        List.for_all
+          (fun step ->
+            let same_cost =
+              match step with
+              | None ->
+                  Memsys.flush slot;
+                  Oracles.List_memsys.flush oracle;
+                  true
+              | Some touches ->
+                  let accesses =
+                    List.init n (fun s ->
+                        { Oracles.List_memsys.base = names.(s); bytes = bytes.(s);
+                          touches = touches.(s) })
+                  in
+                  Oracles.same_float (Memsys.charge slot touches)
+                    (Oracles.List_memsys.charge oracle accesses)
+            in
+            same_cost
+            && Memsys.resident_bytes slot = Oracles.List_memsys.resident_bytes oracle
+            && Array.for_all
+                 (fun s -> Memsys.is_resident slot s = Oracles.List_memsys.is_resident oracle names.(s))
+                 (Array.init n Fun.id))
+          stream
+      in
+      run false && run true)
 
 let prop_noise_positive =
   QCheck.Test.make ~name:"noisy time stays positive" ~count:100
@@ -259,7 +321,12 @@ let prop_noise_positive =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_cache_total_accesses; prop_memsys_nonnegative; prop_noise_positive ]
+    [
+      prop_cache_total_accesses;
+      prop_memsys_nonnegative;
+      prop_memsys_matches_list_model;
+      prop_noise_positive;
+    ]
 
 let suites =
   [
