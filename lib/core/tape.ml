@@ -49,15 +49,7 @@ type t = {
   mode : mode;
 }
 
-let unread =
-  {
-    Interp.block_counts = [||];
-    mem_reads = 0;
-    mem_writes = 0;
-    flops = 0;
-    touches = [||];
-    impure_calls = 0;
-  }
+let unread = { Interp.block_counts = [||]; touches = [||] }
 
 let shared tsec ~name ~length build =
   let sh =

@@ -1,15 +1,12 @@
 (* Counting interpreter over a slot-compiled environment.
 
-   The environment used to be three string-keyed hashtables; every
-   lookup allocated an [option] and every recursive evaluation boxed a
-   float, which made the interpreter — the system's innermost loop — the
-   dominant allocator of a tuning run.  Names are now interned once into
-   integer slots: scalars live in one [float array], arrays and pointer
-   targets are indexed by slot id, and a CFG is compiled against a
-   specific environment into flat per-operator instruction arrays
-   executed on a preallocated operand stack.  The steady-state execution
-   loop ([run_compiled] on a warm {!scratch}) performs no allocation at
-   all; the allocation-budget gate in ci/check.sh holds it to that.
+   Names are interned once into integer slots: scalars live in one
+   [float array], arrays and pointer targets are indexed by slot id.  A
+   CFG is compiled against a specific environment into one flat array
+   of three-address register code whose operands are scalar slots, run
+   by one loop over a local pc.  The steady-state execution loop
+   ([run_compiled] on a warm {!scratch}) performs no allocation at all;
+   the allocation-budget gate in ci/check.sh holds it to that.
 
    The string API ([get_scalar], [set_array], ...) survives as a thin
    compatibility wrapper, including the original semantics that a write
@@ -239,14 +236,7 @@ let env_equal a b =
 (* Results                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  block_counts : int array;
-  mem_reads : int;
-  mem_writes : int;
-  flops : int;
-  touches : int array;
-  impure_calls : int;
-}
+type result = { block_counts : int array; touches : int array }
 
 (* The bases a CFG touches, ascending by name: what its Index, Store,
    Deref and pointer-store operations name, in every block. *)
@@ -285,69 +275,71 @@ let bases (cfg : Cfg.t) =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Expressions compile to postfix instruction arrays executed on a flat
-   float stack; every operator gets its own constructor so the execution
-   match lands directly on an unboxed float-array store.  [Iscalar] is
-   used when the slot was already bound at compile time (nothing ever
-   unbinds a slot, so the runtime check is dropped); names the CFG
-   mentions but the environment has not bound yet get the checked
-   variant. *)
+(* Three-address register code.  Every operand is a slot of the scalar
+   value array: a named scalar's own slot, a temporary's, or a
+   constant's.  Temporaries (one per expression depth) and constants
+   (one per distinct bit pattern) are interned under names that start
+   with a NUL byte, which no section declares, and are never bound, so
+   [get_scalar], [env_equal] and snapshots do not see them.  A leaf
+   therefore costs no instruction: [x := y + 1] is one [Iadd].
+
+   Straight-line instructions name their destination first.  A read of
+   a scalar that was unbound at compile time is preceded by an [Icheck]
+   at the point the leaf is evaluated, and an assignment to one is
+   followed by an [Ibind]; Cfg's [__tN] loop limits are such scalars.
+   Each block ends in one jump, which performs the entry to its target
+   block (step count, step limit, block count). *)
 type instr =
-  | Iconst of float
-  | Iscalar of int
-  | Iscalar_checked of int
-  | Iload of int * int  (* array slot, access-counter id; pops the index *)
-  | Ideref of int * int  (* pointer slot, access-counter id *)
-  | Ineg
-  | Inot
-  | Iabs
-  | Isqrt
-  | Ifloor
-  | Iadd
-  | Isub
-  | Imul
-  | Idiv
-  | Imod
-  | Imin
-  | Imax
-  | Ieq
-  | Ine
-  | Ilt
-  | Ile
-  | Igt
-  | Ige
-
-type code = instr array
-
-type cstmt =
-  | Cassign of int * code  (* scalar slot <- expr *)
-  | Cstore of int * int * code  (* array slot, counter id; code leaves [idx; value] *)
-  | Cptr_store of int * int * code  (* pointer slot, counter id; code leaves [value] *)
-  | Cptr_set of int * int  (* pointer slot <- scalar slot *)
-  | Ccall_impure
-
-type cterm = Cgoto of int | Cbranch of code * int * int | Cexit
-
-type cblock = { c_stmts : cstmt array; c_term : cterm }
+  | Imov of int * int
+  | Icheck of int
+  | Ibind of int
+  | Iload of int * int * int * int  (* dst, array slot, base slot, index *)
+  | Ideref of int * int * int  (* dst, pointer slot, base slot *)
+  | Istore of int * int * int * int  (* array slot, base slot, index, value *)
+  | Iptr_store of int * int * int  (* pointer slot, base slot, value *)
+  | Iptr_set of int * int  (* pointer slot <- scalar slot *)
+  | Ineg of int * int
+  | Inot of int * int
+  | Iabs of int * int
+  | Isqrt of int * int
+  | Ifloor of int * int
+  | Iadd of int * int * int
+  | Isub of int * int * int
+  | Imul of int * int * int
+  | Idiv of int * int * int
+  | Imod of int * int * int
+  | Imin of int * int * int
+  | Imax of int * int * int
+  | Ieq of int * int * int
+  | Ine of int * int * int
+  | Ilt of int * int * int
+  | Ile of int * int * int
+  | Igt of int * int * int
+  | Ige of int * int * int
+  (* jumps name target blocks: [Jlt (a, b, t, f)] enters [t] when
+     [a < b] and [f] otherwise; [Jnz] branches on a nonzero operand *)
+  | Jgoto of int
+  | Jeq of int * int * int * int
+  | Jne of int * int * int * int
+  | Jlt of int * int * int * int
+  | Jle of int * int * int * int
+  | Jgt of int * int * int * int
+  | Jge of int * int * int * int
+  | Jnz of int * int * int
+  | Jexit
 
 type compiled = {
   cp_env : env;
   cp_name : string;
-  cp_blocks : cblock array;
+  cp_code : instr array;
+  cp_start : int array;  (* block id -> pc of its first instruction *)
   cp_entry : int;
-  cp_stack_depth : int;
   cp_bases : int;  (* access counters: one per slot of [bases] *)
 }
 
 type scratch = {
-  sc_stack : float array;
   sc_block_counts : int array;
   sc_accesses : int array;  (* per base slot *)
-  mutable sc_reads : int;
-  mutable sc_writes : int;
-  mutable sc_flops : int;
-  mutable sc_calls : int;
-  mutable sc_sp : int;
   mutable sc_steps : int;
 }
 
@@ -358,103 +350,130 @@ let compile (cfg : Cfg.t) env =
   let base_ids = Hashtbl.create 8 in
   Array.iteri (fun b name -> Hashtbl.add base_ids name b) names;
   let base_id name = Hashtbl.find base_ids name in
-  let max_depth = ref 1 in
-  let scalar_read_instr v =
-    let s = scalar_slot env v in
-    if Bytes.get env.scalar_bound s <> '\000' then Iscalar s else Iscalar_checked s
+  let unbound s = Bytes.get env.scalar_bound s = '\000' in
+  let temp depth = scalar_slot env (Printf.sprintf "\000t%d" depth) in
+  (* keyed by bits, so -0.0 and each nan payload keep their own slot *)
+  let const k =
+    let s = scalar_slot env (Printf.sprintf "\000k%Lx" (Int64.bits_of_float k)) in
+    env.scalar_vals.(s) <- k;
+    s
   in
-  (* [emit acc depth e] appends e's postfix code (reversed) to [acc];
-     [depth] is the operand-stack occupancy before e executes. *)
-  let rec emit acc depth e =
-    if depth + 1 > !max_depth then max_depth := depth + 1;
+  let code = ref [] in
+  let emit i = code := i :: !code in
+  (* [operand depth e] emits e's code and returns the slot holding its
+     value: a leaf's own slot, or the temporary of [depth]. *)
+  let rec operand depth e =
     match e with
-    | Types.Const k -> Iconst k :: acc
-    | Types.Var v -> scalar_read_instr v :: acc
+    | Types.Const k -> const k
+    | Types.Var v ->
+        let s = scalar_slot env v in
+        if unbound s then emit (Icheck s);
+        s
+    | _ ->
+        let t = temp depth in
+        into t depth e;
+        t
+  (* [into dst depth e] emits code leaving e's value in [dst]; operands
+     are evaluated left to right, the right one a depth deeper, so no
+     operand's code overwrites a temporary still to be read. *)
+  and into dst depth e =
+    match e with
+    | Types.Const _ | Types.Var _ -> emit (Imov (dst, operand depth e))
     | Types.Index (a, sub) ->
-        let acc = emit acc depth sub in
-        Iload (array_slot env a, base_id a) :: acc
-    | Types.Deref p -> Ideref (pointer_slot env p, base_id p) :: acc
+        let i = operand depth sub in
+        emit (Iload (dst, array_slot env a, base_id a, i))
+    | Types.Deref p -> emit (Ideref (dst, pointer_slot env p, base_id p))
     | Types.Unop (op, e) ->
-        let acc = emit acc depth e in
-        (match op with
-        | Types.Neg -> Ineg
-        | Types.Not -> Inot
-        | Types.Abs -> Iabs
-        | Types.Sqrt -> Isqrt
-        | Types.Floor -> Ifloor)
-        :: acc
+        let a = operand depth e in
+        emit
+          (match op with
+          | Types.Neg -> Ineg (dst, a)
+          | Types.Not -> Inot (dst, a)
+          | Types.Abs -> Iabs (dst, a)
+          | Types.Sqrt -> Isqrt (dst, a)
+          | Types.Floor -> Ifloor (dst, a))
     | Types.Binop (op, a, b) ->
-        let acc = emit acc depth a in
-        let acc = emit acc (depth + 1) b in
-        (match op with
-        | Types.Add -> Iadd
-        | Types.Sub -> Isub
-        | Types.Mul -> Imul
-        | Types.Div -> Idiv
-        | Types.Mod -> Imod
-        | Types.Min -> Imin
-        | Types.Max -> Imax)
-        :: acc
+        let a = operand depth a in
+        let b = operand (depth + 1) b in
+        emit
+          (match op with
+          | Types.Add -> Iadd (dst, a, b)
+          | Types.Sub -> Isub (dst, a, b)
+          | Types.Mul -> Imul (dst, a, b)
+          | Types.Div -> Idiv (dst, a, b)
+          | Types.Mod -> Imod (dst, a, b)
+          | Types.Min -> Imin (dst, a, b)
+          | Types.Max -> Imax (dst, a, b))
     | Types.Cmp (op, a, b) ->
-        let acc = emit acc depth a in
-        let acc = emit acc (depth + 1) b in
-        (match op with
-        | Types.Eq -> Ieq
-        | Types.Ne -> Ine
-        | Types.Lt -> Ilt
-        | Types.Le -> Ile
-        | Types.Gt -> Igt
-        | Types.Ge -> Ige)
-        :: acc
+        let a = operand depth a in
+        let b = operand (depth + 1) b in
+        emit
+          (match op with
+          | Types.Eq -> Ieq (dst, a, b)
+          | Types.Ne -> Ine (dst, a, b)
+          | Types.Lt -> Ilt (dst, a, b)
+          | Types.Le -> Ile (dst, a, b)
+          | Types.Gt -> Igt (dst, a, b)
+          | Types.Ge -> Ige (dst, a, b))
   in
-  let code_of ?(depth = 0) e = Array.of_list (List.rev (emit [] depth e)) in
-  let compile_stmt (s : Cfg.simple) =
+  let stmt (s : Cfg.simple) =
     match s with
-    | Cfg.SAssign (x, e) -> Some (Cassign (scalar_slot env x, code_of e))
+    | Cfg.SAssign (x, e) ->
+        let s = scalar_slot env x in
+        into s 0 e;
+        if unbound s then emit (Ibind s)
     | Cfg.SStore (a, i, e) ->
-        (* index code then value code: the combined run leaves the stack
-           as [idx; value], evaluated in the original order with the
-           bounds check after both — matching the reference. *)
-        let idx = emit [] 0 i in
-        let both = emit idx 1 e in
-        Some (Cstore (array_slot env a, base_id a, Array.of_list (List.rev both)))
-    | Cfg.SPtrStore (p, e) -> Some (Cptr_store (pointer_slot env p, base_id p, code_of e))
-    | Cfg.SPtrSet (p, v) -> Some (Cptr_set (pointer_slot env p, scalar_slot env v))
-    | Cfg.SCall f -> if Types.is_pure_external f then None else Some Ccall_impure
+        (* index, then value, then the bounds check: the reference's order *)
+        let i = operand 0 i in
+        let v = operand 1 e in
+        emit (Istore (array_slot env a, base_id a, i, v))
+    | Cfg.SPtrStore (p, e) ->
+        let v = operand 0 e in
+        emit (Iptr_store (pointer_slot env p, base_id p, v))
+    | Cfg.SPtrSet (p, v) -> emit (Iptr_set (pointer_slot env p, scalar_slot env v))
+    | Cfg.SCall _ -> ()
+  in
+  let jump = function
+    | Cfg.Goto n -> Jgoto n
+    | Cfg.Exit -> Jexit
+    | Cfg.Branch (Types.Cmp (op, a, b), t, f) -> (
+        let a = operand 0 a in
+        let b = operand 1 b in
+        match op with
+        | Types.Eq -> Jeq (a, b, t, f)
+        | Types.Ne -> Jne (a, b, t, f)
+        | Types.Lt -> Jlt (a, b, t, f)
+        | Types.Le -> Jle (a, b, t, f)
+        | Types.Gt -> Jgt (a, b, t, f)
+        | Types.Ge -> Jge (a, b, t, f))
+    | Cfg.Branch (c, t, f) -> Jnz (operand 0 c, t, f)
   in
   let blocks =
     Array.map
       (fun (b : Cfg.bblock) ->
-        {
-          c_stmts =
-            Array.of_list (List.filter_map compile_stmt (Array.to_list b.Cfg.stmts));
-          c_term =
-            (match b.Cfg.term with
-            | Cfg.Goto n -> Cgoto n
-            | Cfg.Branch (c, t, f) -> Cbranch (code_of c, t, f)
-            | Cfg.Exit -> Cexit);
-        })
+        code := [];
+        Array.iter stmt b.Cfg.stmts;
+        emit (jump b.Cfg.term);
+        Array.of_list (List.rev !code))
       cfg.Cfg.blocks
   in
+  let start = Array.make (Array.length blocks) 0 in
+  for id = 1 to Array.length blocks - 1 do
+    start.(id) <- start.(id - 1) + Array.length blocks.(id - 1)
+  done;
   {
     cp_env = env;
     cp_name = cfg.Cfg.ts.Types.name;
-    cp_blocks = blocks;
+    cp_code = Array.concat (Array.to_list blocks);
+    cp_start = start;
     cp_entry = cfg.Cfg.entry;
-    cp_stack_depth = !max_depth;
     cp_bases = Array.length names;
   }
 
 let make_scratch cp =
   {
-    sc_stack = Array.make (max 1 cp.cp_stack_depth) 0.0;
-    sc_block_counts = Array.make (Array.length cp.cp_blocks) 0;
+    sc_block_counts = Array.make (Array.length cp.cp_start) 0;
     sc_accesses = Array.make cp.cp_bases 0;
-    sc_reads = 0;
-    sc_writes = 0;
-    sc_flops = 0;
-    sc_calls = 0;
-    sc_sp = 0;
     sc_steps = 0;
   }
 
@@ -471,207 +490,147 @@ let oob_index name i_float len context =
           (int_of_float (floor i_float))
           len context))
 
-(* Execute one postfix code array; the result is left in sc_stack.(0).
-   Returning it instead would box a float per expression. *)
-let exec_code env sc (code : code) =
-  let st = sc.sc_stack in
-  sc.sc_sp <- 0;
-  for pc = 0 to Array.length code - 1 do
-    match Array.unsafe_get code pc with
-    | Iconst k ->
-        let sp = sc.sc_sp in
-        st.(sp) <- k;
-        sc.sc_sp <- sp + 1
-    | Iscalar s ->
-        let sp = sc.sc_sp in
-        st.(sp) <- env.scalar_vals.(s);
-        sc.sc_sp <- sp + 1
-    | Iscalar_checked s ->
-        if Bytes.get env.scalar_bound s = '\000' then unknown_scalar env.scalar_names.(s);
-        let sp = sc.sc_sp in
-        st.(sp) <- env.scalar_vals.(s);
-        sc.sc_sp <- sp + 1
-    | Iload (a, b) ->
-        if Bytes.get env.array_bound a = '\000' then unknown_array env.array_names.(a);
-        let arr = env.array_vals.(a) in
-        let sp = sc.sc_sp - 1 in
-        let i_float = st.(sp) in
-        let i = int_of_float i_float in
-        if i_float < 0.0 || i >= Array.length arr then
-          oob_index env.array_names.(a) i_float (Array.length arr) "read";
-        sc.sc_accesses.(b) <- sc.sc_accesses.(b) + 1;
-        sc.sc_reads <- sc.sc_reads + 1;
-        st.(sp) <- Array.unsafe_get arr i
-    | Ideref (p, b) ->
-        let target = env.pointer_targets.(p) in
-        if target < 0 then unknown_pointer env.pointer_names.(p);
-        sc.sc_accesses.(b) <- sc.sc_accesses.(b) + 1;
-        sc.sc_reads <- sc.sc_reads + 1;
-        if Bytes.get env.scalar_bound target = '\000' then
-          unknown_scalar env.scalar_names.(target);
-        let sp = sc.sc_sp in
-        st.(sp) <- env.scalar_vals.(target);
-        sc.sc_sp <- sp + 1
-    | Ineg ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp) <- -.st.(sp)
-    | Inot ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp) <- (if st.(sp) = 0.0 then 1.0 else 0.0)
-    | Iabs ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp) <- abs_float st.(sp)
-    | Isqrt ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp) <- sqrt st.(sp)
-    | Ifloor ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp) <- floor st.(sp)
-    | Iadd ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- st.(sp - 1) +. st.(sp);
-        sc.sc_sp <- sp
-    | Isub ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- st.(sp - 1) -. st.(sp);
-        sc.sc_sp <- sp
-    | Imul ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- st.(sp - 1) *. st.(sp);
-        sc.sc_sp <- sp
-    | Idiv ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- st.(sp - 1) /. st.(sp);
-        sc.sc_sp <- sp
-    | Imod ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- Float.rem st.(sp - 1) st.(sp);
-        sc.sc_sp <- sp
-    | Imin ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- Float.min st.(sp - 1) st.(sp);
-        sc.sc_sp <- sp
-    | Imax ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- Float.max st.(sp - 1) st.(sp);
-        sc.sc_sp <- sp
-    | Ieq ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- (if st.(sp - 1) = st.(sp) then 1.0 else 0.0);
-        sc.sc_sp <- sp
-    | Ine ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- (if st.(sp - 1) <> st.(sp) then 1.0 else 0.0);
-        sc.sc_sp <- sp
-    | Ilt ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- (if st.(sp - 1) < st.(sp) then 1.0 else 0.0);
-        sc.sc_sp <- sp
-    | Ile ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- (if st.(sp - 1) <= st.(sp) then 1.0 else 0.0);
-        sc.sc_sp <- sp
-    | Igt ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- (if st.(sp - 1) > st.(sp) then 1.0 else 0.0);
-        sc.sc_sp <- sp
-    | Ige ->
-        let sp = sc.sc_sp - 1 in
-        sc.sc_flops <- sc.sc_flops + 1;
-        st.(sp - 1) <- (if st.(sp - 1) >= st.(sp) then 1.0 else 0.0);
-        sc.sc_sp <- sp
-  done
-
-let exec_stmt env sc (s : cstmt) =
-  match s with
-  | Cassign (slot, code) ->
-      exec_code env sc code;
-      env.scalar_vals.(slot) <- sc.sc_stack.(0);
-      Bytes.set env.scalar_bound slot '\001'
-  | Cstore (a, b, code) ->
-      exec_code env sc code;
-      if Bytes.get env.array_bound a = '\000' then unknown_array env.array_names.(a);
-      let arr = env.array_vals.(a) in
-      let i_float = sc.sc_stack.(0) in
-      let i = int_of_float i_float in
-      if i_float < 0.0 || i >= Array.length arr then
-        oob_index env.array_names.(a) i_float (Array.length arr) "write";
-      sc.sc_accesses.(b) <- sc.sc_accesses.(b) + 1;
-      sc.sc_writes <- sc.sc_writes + 1;
-      Array.unsafe_set arr i sc.sc_stack.(1)
-  | Cptr_store (p, b, code) ->
-      exec_code env sc code;
-      let target = env.pointer_targets.(p) in
-      if target < 0 then unknown_pointer env.pointer_names.(p);
-      sc.sc_writes <- sc.sc_writes + 1;
-      sc.sc_accesses.(b) <- sc.sc_accesses.(b) + 1;
-      env.scalar_vals.(target) <- sc.sc_stack.(0);
-      Bytes.set env.scalar_bound target '\001'
-  | Cptr_set (p, v) -> env.pointer_targets.(p) <- v
-  | Ccall_impure -> sc.sc_calls <- sc.sc_calls + 1
-
 let step_limit name max_steps =
   raise (Step_limit_exceeded (Printf.sprintf "%s: > %d block entries" name max_steps))
 
-let rec exec_block cp env sc max_steps id =
+(* Enter block [id]; returns the pc of its first instruction. *)
+let[@inline] enter cp sc max_steps id =
   sc.sc_steps <- sc.sc_steps + 1;
   if sc.sc_steps > max_steps then step_limit cp.cp_name max_steps;
   sc.sc_block_counts.(id) <- sc.sc_block_counts.(id) + 1;
-  let b = cp.cp_blocks.(id) in
-  let stmts = b.c_stmts in
-  for i = 0 to Array.length stmts - 1 do
-    exec_stmt env sc (Array.unsafe_get stmts i)
-  done;
-  match b.c_term with
-  | Cgoto next -> exec_block cp env sc max_steps next
-  | Cbranch (code, if_true, if_false) ->
-      (* the comparison itself was charged by its Cmp instruction; the
-         branch decision adds no flop (the old double charge is gone) *)
-      exec_code env sc code;
-      exec_block cp env sc max_steps (if sc.sc_stack.(0) <> 0.0 then if_true else if_false)
-  | Cexit -> ()
+  cp.cp_start.(id)
 
 let run_compiled ?(max_steps = 10_000_000) cp sc =
   Array.fill sc.sc_block_counts 0 (Array.length sc.sc_block_counts) 0;
   Array.fill sc.sc_accesses 0 (Array.length sc.sc_accesses) 0;
-  sc.sc_reads <- 0;
-  sc.sc_writes <- 0;
-  sc.sc_flops <- 0;
-  sc.sc_calls <- 0;
-  sc.sc_sp <- 0;
   sc.sc_steps <- 0;
-  exec_block cp cp.cp_env sc max_steps cp.cp_entry
+  let env = cp.cp_env in
+  (* no name is interned while a section runs, so the value array
+     cannot be replaced under the loop *)
+  let v = env.scalar_vals in
+  let code = cp.cp_code in
+  let touches = sc.sc_accesses in
+  let pc = ref (enter cp sc max_steps cp.cp_entry) in
+  while !pc >= 0 do
+    match Array.unsafe_get code !pc with
+    | Imov (d, a) ->
+        v.(d) <- v.(a);
+        incr pc
+    | Icheck s ->
+        if Bytes.get env.scalar_bound s = '\000' then unknown_scalar env.scalar_names.(s);
+        incr pc
+    | Ibind s ->
+        Bytes.set env.scalar_bound s '\001';
+        incr pc
+    | Iload (d, a, b, i) ->
+        if Bytes.get env.array_bound a = '\000' then unknown_array env.array_names.(a);
+        let arr = env.array_vals.(a) in
+        let i_float = v.(i) in
+        let i = int_of_float i_float in
+        if i_float < 0.0 || i >= Array.length arr then
+          oob_index env.array_names.(a) i_float (Array.length arr) "read";
+        touches.(b) <- touches.(b) + 1;
+        v.(d) <- Array.unsafe_get arr i;
+        incr pc
+    | Ideref (d, p, b) ->
+        let target = env.pointer_targets.(p) in
+        if target < 0 then unknown_pointer env.pointer_names.(p);
+        touches.(b) <- touches.(b) + 1;
+        if Bytes.get env.scalar_bound target = '\000' then
+          unknown_scalar env.scalar_names.(target);
+        v.(d) <- v.(target);
+        incr pc
+    | Istore (a, b, i, x) ->
+        if Bytes.get env.array_bound a = '\000' then unknown_array env.array_names.(a);
+        let arr = env.array_vals.(a) in
+        let i_float = v.(i) in
+        let i = int_of_float i_float in
+        if i_float < 0.0 || i >= Array.length arr then
+          oob_index env.array_names.(a) i_float (Array.length arr) "write";
+        touches.(b) <- touches.(b) + 1;
+        Array.unsafe_set arr i v.(x);
+        incr pc
+    | Iptr_store (p, b, x) ->
+        let target = env.pointer_targets.(p) in
+        if target < 0 then unknown_pointer env.pointer_names.(p);
+        touches.(b) <- touches.(b) + 1;
+        v.(target) <- v.(x);
+        Bytes.set env.scalar_bound target '\001';
+        incr pc
+    | Iptr_set (p, s) ->
+        env.pointer_targets.(p) <- s;
+        incr pc
+    | Ineg (d, a) ->
+        v.(d) <- -.v.(a);
+        incr pc
+    | Inot (d, a) ->
+        v.(d) <- (if v.(a) = 0.0 then 1.0 else 0.0);
+        incr pc
+    | Iabs (d, a) ->
+        v.(d) <- abs_float v.(a);
+        incr pc
+    | Isqrt (d, a) ->
+        v.(d) <- sqrt v.(a);
+        incr pc
+    | Ifloor (d, a) ->
+        v.(d) <- floor v.(a);
+        incr pc
+    | Iadd (d, a, b) ->
+        v.(d) <- v.(a) +. v.(b);
+        incr pc
+    | Isub (d, a, b) ->
+        v.(d) <- v.(a) -. v.(b);
+        incr pc
+    | Imul (d, a, b) ->
+        v.(d) <- v.(a) *. v.(b);
+        incr pc
+    | Idiv (d, a, b) ->
+        v.(d) <- v.(a) /. v.(b);
+        incr pc
+    | Imod (d, a, b) ->
+        v.(d) <- Float.rem v.(a) v.(b);
+        incr pc
+    | Imin (d, a, b) ->
+        v.(d) <- Float.min v.(a) v.(b);
+        incr pc
+    | Imax (d, a, b) ->
+        v.(d) <- Float.max v.(a) v.(b);
+        incr pc
+    | Ieq (d, a, b) ->
+        v.(d) <- (if v.(a) = v.(b) then 1.0 else 0.0);
+        incr pc
+    | Ine (d, a, b) ->
+        v.(d) <- (if v.(a) <> v.(b) then 1.0 else 0.0);
+        incr pc
+    | Ilt (d, a, b) ->
+        v.(d) <- (if v.(a) < v.(b) then 1.0 else 0.0);
+        incr pc
+    | Ile (d, a, b) ->
+        v.(d) <- (if v.(a) <= v.(b) then 1.0 else 0.0);
+        incr pc
+    | Igt (d, a, b) ->
+        v.(d) <- (if v.(a) > v.(b) then 1.0 else 0.0);
+        incr pc
+    | Ige (d, a, b) ->
+        v.(d) <- (if v.(a) >= v.(b) then 1.0 else 0.0);
+        incr pc
+    | Jgoto t -> pc := enter cp sc max_steps t
+    | Jeq (a, b, t, f) -> pc := enter cp sc max_steps (if v.(a) = v.(b) then t else f)
+    | Jne (a, b, t, f) -> pc := enter cp sc max_steps (if v.(a) <> v.(b) then t else f)
+    | Jlt (a, b, t, f) -> pc := enter cp sc max_steps (if v.(a) < v.(b) then t else f)
+    | Jle (a, b, t, f) -> pc := enter cp sc max_steps (if v.(a) <= v.(b) then t else f)
+    | Jgt (a, b, t, f) -> pc := enter cp sc max_steps (if v.(a) > v.(b) then t else f)
+    | Jge (a, b, t, f) -> pc := enter cp sc max_steps (if v.(a) >= v.(b) then t else f)
+    | Jnz (a, t, f) -> pc := enter cp sc max_steps (if v.(a) <> 0.0 then t else f)
+    | Jexit -> pc := -1
+  done
 
-let scratch_steps sc = Array.fold_left ( + ) 0 sc.sc_block_counts
+let scratch_steps sc = sc.sc_steps
 
 (* Snapshot a scratch into a fresh result: the counter arrays are
    copied, since the scratch is reused by the next invocation. *)
 let result_of_scratch sc =
-  {
-    block_counts = Array.copy sc.sc_block_counts;
-    mem_reads = sc.sc_reads;
-    mem_writes = sc.sc_writes;
-    flops = sc.sc_flops;
-    touches = Array.copy sc.sc_accesses;
-    impure_calls = sc.sc_calls;
-  }
+  { block_counts = Array.copy sc.sc_block_counts; touches = Array.copy sc.sc_accesses }
 
 let run ?max_steps (cfg : Cfg.t) env =
   let cp = compile cfg env in

@@ -3,18 +3,18 @@
     One [run] is one invocation of the tuning section under a concrete
     context.  The interpreter executes the CFG against a mutable
     environment and records, per basic block, how many times the block
-    was entered — the [C_b] counts of the paper's Eq. 1 — plus dynamic
-    memory/arithmetic tallies used by the machine cost model.  Version
-    timing never re-executes the interpreter per version: a code
-    version's simulated time is a function of these counts and the
-    version's per-block cycle table, which is what makes full Figure-7
-    sweeps tractable.
+    was entered — the [C_b] counts of the paper's Eq. 1 — and, per
+    memory base, how many times it was read or written, which the
+    runner's memory system charges.  Version timing never re-executes
+    the interpreter per version: a code version's simulated time is a
+    function of these counts and the version's per-block cycle table,
+    which is what makes full Figure-7 sweeps tractable.
 
     The environment interns names into integer slots; the hot path
     ([compile] + [run_compiled] on a reused {!scratch}) executes
-    slot-resolved instruction arrays and performs no allocation in the
-    steady state.  The string-keyed accessors below are a thin
-    compatibility layer over the slot tables. *)
+    three-address register code over those slots and performs no
+    allocation in the steady state.  The string-keyed accessors below
+    are a thin compatibility layer over the slot tables. *)
 
 type env
 (** Mutable execution environment: scalar values, array storage, and
@@ -25,13 +25,9 @@ type env
 
 type result = {
   block_counts : int array;  (** Entry count per CFG block id. *)
-  mem_reads : int;
-  mem_writes : int;
-  flops : int;
   touches : int array;
       (** Accesses per memory base, by slot of {!bases}: slot [i] counts
           the reads and writes of base [i]. *)
-  impure_calls : int;
 }
 
 val bases : Cfg.t -> string array
@@ -76,14 +72,16 @@ val read_source : env -> Expr.source -> float
 (** {1 Compiled execution — the zero-allocation hot path} *)
 
 type compiled
-(** A CFG lowered to slot-resolved instruction arrays, bound to the
-    specific environment it was compiled against (compilation interns
-    every name the CFG mentions into that environment). *)
+(** A CFG lowered to one flat array of three-address register code,
+    bound to the specific environment it was compiled against.
+    Compilation interns every name the CFG mentions into that
+    environment, plus one hidden, never-bound slot per expression depth
+    and per distinct constant; no accessor or {!env_equal} sees those. *)
 
 type scratch
-(** Preallocated per-invocation state: operand stack and counter
-    accumulators.  Reusing one scratch across invocations is what makes
-    the steady-state loop allocation-free.  Not domain-safe — use one
+(** Preallocated per-invocation counters: block entries and base
+    touches.  Reusing one scratch across invocations is what makes the
+    steady-state loop allocation-free.  Not domain-safe — use one
     scratch per domain. *)
 
 val compile : Cfg.t -> env -> compiled

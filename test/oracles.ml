@@ -212,11 +212,11 @@ let ts_pass_cycles ?(seed = 5) (benchmark : Benchmark.t) machine config dataset 
 
 (* The string-keyed hashtable interpreter the compiled interpreter
    replaced, kept as the executable specification it is differentially
-   tested against (test_compile.ml).  It carries the same three
+   tested against (test_compile.ml).  It carries the same two
    accounting rules as the compiled path: negative fractional indices
-   raise, a branch charges no flop beyond its comparison's, and touches
-   are numbered by [Interp.bases] — a touch of a base outside that table
-   fails the oracle, so the table is checked along with the counts. *)
+   raise, and touches are numbered by [Interp.bases] — a touch of a base
+   outside that table fails the oracle, so the table is checked along
+   with the counts. *)
 module Reference_interp = struct
   open Peak_ir
 
@@ -251,79 +251,60 @@ module Reference_interp = struct
   let get_pointer env p =
     match Hashtbl.find_opt env.pointers p with Some t -> t | None -> oob "unknown pointer %s" p
 
-  type counters = {
-    mutable reads : int;
-    mutable writes : int;
-    mutable flops : int;
-    mutable calls : int;
-    accesses : (string, int) Hashtbl.t;
-  }
+  (* accesses per base name *)
+  let touch accesses base =
+    Hashtbl.replace accesses base (1 + Option.value ~default:0 (Hashtbl.find_opt accesses base))
 
-  let touch counters base =
-    Hashtbl.replace counters.accesses base
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counters.accesses base))
-
-  let array_ref env counters a i_float context =
+  let array_ref env accesses a i_float context =
     let arr = get_array env a in
     let i = int_of_float i_float in
     if i_float < 0.0 || i >= Array.length arr then
       oob "%s[%d] out of [0,%d) in %s" a (int_of_float (floor i_float)) (Array.length arr)
         context;
-    touch counters a;
+    touch accesses a;
     (arr, i)
 
-  let rec eval_counted env counters e =
+  let rec eval_counted env accesses e =
     match e with
     | Types.Const k -> k
     | Types.Var v -> get_scalar env v
     | Types.Index (a, sub) ->
-        let i = eval_counted env counters sub in
-        let arr, idx = array_ref env counters a i "read" in
-        counters.reads <- counters.reads + 1;
+        let i = eval_counted env accesses sub in
+        let arr, idx = array_ref env accesses a i "read" in
         arr.(idx)
     | Types.Deref p ->
         let target = get_pointer env p in
-        counters.reads <- counters.reads + 1;
-        touch counters p;
+        touch accesses p;
         get_scalar env target
-    | Types.Unop (op, e) ->
-        counters.flops <- counters.flops + 1;
-        Expr.apply_unop op (eval_counted env counters e)
+    | Types.Unop (op, e) -> Expr.apply_unop op (eval_counted env accesses e)
     | Types.Binop (op, a, b) ->
-        let x = eval_counted env counters a in
-        let y = eval_counted env counters b in
-        counters.flops <- counters.flops + 1;
+        let x = eval_counted env accesses a in
+        let y = eval_counted env accesses b in
         Expr.apply_binop op x y
     | Types.Cmp (op, a, b) ->
-        let x = eval_counted env counters a in
-        let y = eval_counted env counters b in
-        counters.flops <- counters.flops + 1;
+        let x = eval_counted env accesses a in
+        let y = eval_counted env accesses b in
         Expr.apply_cmp op x y
 
   let run ?(max_steps = 10_000_000) (cfg : Cfg.t) env =
-    let counters =
-      { reads = 0; writes = 0; flops = 0; calls = 0; accesses = Hashtbl.create 8 }
-    in
+    let accesses = Hashtbl.create 8 in
     let block_counts = Array.make (Cfg.n_blocks cfg) 0 in
     let steps = ref 0 in
     let exec_simple (s : Cfg.simple) =
       match s with
-      | SAssign (x, e) -> set_scalar env x (eval_counted env counters e)
+      | SAssign (x, e) -> set_scalar env x (eval_counted env accesses e)
       | SStore (a, i, e) ->
-          let idx_v = eval_counted env counters i in
-          let value = eval_counted env counters e in
-          let arr, idx = array_ref env counters a idx_v "write" in
-          counters.writes <- counters.writes + 1;
+          let idx_v = eval_counted env accesses i in
+          let value = eval_counted env accesses e in
+          let arr, idx = array_ref env accesses a idx_v "write" in
           arr.(idx) <- value
       | SPtrStore (p, e) ->
-          let value = eval_counted env counters e in
+          let value = eval_counted env accesses e in
           let target = get_pointer env p in
-          counters.writes <- counters.writes + 1;
-          touch counters p;
+          touch accesses p;
           set_scalar env target value
       | SPtrSet (p, v) -> Hashtbl.replace env.pointers p v
-      | SCall f ->
-          if not (Types.is_pure_external f) then counters.calls <- counters.calls + 1
+      | SCall _ -> ()
     in
     let rec go id =
       incr steps;
@@ -337,7 +318,7 @@ module Reference_interp = struct
       match b.term with
       | Goto next -> go next
       | Branch (c, if_true, if_false) ->
-          go (if eval_counted env counters c <> 0.0 then if_true else if_false)
+          go (if eval_counted env accesses c <> 0.0 then if_true else if_false)
       | Exit -> ()
     in
     go cfg.entry;
@@ -346,17 +327,11 @@ module Reference_interp = struct
       (fun base _ ->
         if not (Array.mem base bases) then
           failwith ("Reference_interp: touched base " ^ base ^ " has no slot"))
-      counters.accesses;
+      accesses;
     {
       Interp.block_counts;
-      mem_reads = counters.reads;
-      mem_writes = counters.writes;
-      flops = counters.flops;
       touches =
-        Array.map
-          (fun base -> Option.value ~default:0 (Hashtbl.find_opt counters.accesses base))
-          bases;
-      impure_calls = counters.calls;
+        Array.map (fun base -> Option.value ~default:0 (Hashtbl.find_opt accesses base)) bases;
     }
 end
 

@@ -53,6 +53,29 @@ let test_interp_steady_state_zero_alloc () =
       Alcotest.failf "run_compiled allocates %.1f bytes/invocation (budget < 1)" per_call
   end
 
+(* The same gate over every registry section, each after its trace's
+   init and first setup, so pointer loads and stores, branches on
+   non-compares and the unbound-read checks of Cfg's loop limits are
+   metered too.  Re-running an invocation on the state it left is still
+   a run of the same code. *)
+let test_registry_sections_zero_alloc () =
+  let open Peak_workload in
+  if native then
+    List.iter
+      (fun (b : Benchmark.t) ->
+        let tsec = Peak.Tsection.make b.Benchmark.ts in
+        let trace = b.Benchmark.trace Trace.Train ~seed:3 in
+        let env = Interp.make_env b.Benchmark.ts in
+        let compiled = Interp.compile tsec.Peak.Tsection.cfg env in
+        let scratch = Interp.make_scratch compiled in
+        trace.Trace.init env;
+        trace.Trace.setup 0 env;
+        let per_call = bytes_per_call (fun () -> Interp.run_compiled compiled scratch) 40 in
+        if per_call >= 1.0 then
+          Alcotest.failf "%s: run_compiled allocates %.2f bytes/invocation (budget < 1)"
+            b.Benchmark.name per_call)
+      Registry.all
+
 let test_summarize_into_budget () =
   if native then begin
     let rng = Peak_util.Rng.create ~seed:1 in
@@ -121,6 +144,8 @@ let suites =
       [
         Alcotest.test_case "interp steady state is allocation-free" `Quick
           test_interp_steady_state_zero_alloc;
+        Alcotest.test_case "every registry section runs allocation-free" `Quick
+          test_registry_sections_zero_alloc;
         Alcotest.test_case "summarize_into stays within budget" `Quick
           test_summarize_into_budget;
         Alcotest.test_case "replayed runner step stays within budget" `Quick

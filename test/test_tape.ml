@@ -219,14 +219,10 @@ let test_shared_equals_fresh () =
       check_same (case.label ^ " pooled") expected (pooled_transcripts case))
     (cases ())
 
-(* A shared tape must build its own trace: MCF's setup advances an RNG
-   its trace captured, so reusing the trace the profile pass consumed
-   changes every rating.  The pinned digest is of the result.json a
-   driver building a fresh trace for every rating wrote. *)
-let test_mcf_result_json_pinned () =
+(* The digest of the result.json a store-backed [Driver.tune] with
+   defaults (auto method, IE) writes. *)
+let result_json_digest b machine =
   Oracles.with_tmpdir @@ fun dir ->
-  let b = bench "MCF" in
-  let machine = Machine.pentium4 in
   let meta = Driver.session_meta b machine Trace.Train in
   let session = Result.get_ok (Peak_store.Session.open_ ~dir ~meta ()) in
   Fun.protect
@@ -236,9 +232,48 @@ let test_mcf_result_json_pinned () =
     List.fold_left Filename.concat dir
       [ "sessions"; meta.Peak_store.Codec.m_id; "result.json" ]
   in
-  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Digest.to_hex (Digest.string (In_channel.with_open_bin path In_channel.input_all))
+
+(* A shared tape must build its own trace: MCF's setup advances an RNG
+   its trace captured, so reusing the trace the profile pass consumed
+   changes every rating.  The pinned digest is of the result.json a
+   driver building a fresh trace for every rating wrote. *)
+let test_mcf_result_json_pinned () =
   Alcotest.(check string) "MCF pentium4 result.json digest" "0fe0667c264687102e8b1453d48d188b"
-    (Digest.to_hex (Digest.string bytes))
+    (result_json_digest (bench "MCF") Machine.pentium4)
+
+(* Every benchmark on both machines: a change to interpretation,
+   rating or search that moves any byte of a session's result fails
+   here.  MCF's pentium4 row is the pin above. *)
+let result_json_digests =
+  [
+    ("BZIP2", "560b240a1afe05086c549919b4ecbec5", "de961214b4802e98f92d0e053a601ebd");
+    ("CRAFTY", "09d52161f8876bf49a76ebeb2685aa56", "8cea003dfa3b894ab187f30fecec11d8");
+    ("GZIP", "93abeed1f2ae30ef14fea0e592205794", "351e70b7595f15d44f3a61b98c0202b3");
+    ("MCF", "0fe0667c264687102e8b1453d48d188b", "b9204af3f97466055865ada9f6733bdd");
+    ("TWOLF", "e84a072aee8f59a0f951fdcecff2680f", "0328421030532179f48d1674077c3ada");
+    ("VORTEX", "d281429a081558641eef42d2f46e6c99", "8b54fe74a075e03a71e58adee10ab3a7");
+    ("APPLU", "8ef9d9e23d60bb0140e519fa8a7899b9", "4d77f51e6a1be639cf3ab0d63e11917a");
+    ("APSI", "513a4ee6544cf35225829b318797ea36", "f00fc6cbc68855d56537b3c1d08d9c44");
+    ("ART", "e7851b244a956f2229d263b8f8f7ca1a", "aa82cf15f5f4207f30c8fbeff9f641e0");
+    ("MGRID", "3dd04d8dd1062499d6389c090322e9f3", "4425f6dc07bbb741415ebf7413d5a9e3");
+    ("EQUAKE", "fab5454a7986847c9cb2b1a7b82da05a", "5423324aa620b28b077a3bb5373ab7aa");
+    ("MESA", "07d01ee90b22b62e1ecc2052716e24c5", "41399c5fde4cde73824f09e3ea361876");
+    ("SWIM", "9c05a2ad0ad51ee37e222be82d9f65c3", "3ea3bb619474175431e6cfd106dec4d9");
+    ("WUPWISE", "287bc68f50f16b1c288aa5715f943e8a", "853f2e250a227ec66f4671fa5ab2e630");
+  ]
+
+let test_result_json_digests () =
+  List.iter
+    (fun (name, pentium4, sparc2) ->
+      List.iter
+        (fun (machine, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s result.json digest" name machine.Machine.name)
+            expected
+            (result_json_digest (bench name) machine))
+        [ (Machine.pentium4, pentium4); (Machine.sparc2, sparc2) ])
+    result_json_digests
 
 (* ------------------------------------------------------------------ *)
 (* One interpretation per session                                      *)
@@ -416,6 +451,8 @@ let suites =
       [
         Alcotest.test_case "shared tape equals fresh traces" `Quick test_shared_equals_fresh;
         Alcotest.test_case "MCF result.json pinned" `Quick test_mcf_result_json_pinned;
+        Alcotest.test_case "every benchmark's result.json pinned" `Quick
+          test_result_json_digests;
         Alcotest.test_case "ART RBR interprets each ordinal once" `Quick
           test_art_rbr_interprets_once;
         Alcotest.test_case "setup failure reaches every reader" `Quick
