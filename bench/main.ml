@@ -8,7 +8,11 @@
    ablation-rbr, ablation-outlier, ablation-search, ablation-ranges,
    ablation-batch, ablation-compile, ablation-consultant, adaptive,
    fallback, parallel, store, faults, tracing, micro, alloc, serve,
-   search. *)
+   search, kb.
+
+   Every pass/fail verdict goes through [Gate]: the run executes every
+   requested experiment, then prints each failed check as
+   "<experiment>: <message>" on stderr and exits 1. *)
 
 open Peak_util
 open Peak_machine
@@ -24,6 +28,40 @@ let heading title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let note fmt = Printf.ksprintf (fun s -> Printf.printf "%s\n" s) fmt
+
+(* Checks recorded by the running experiment, and the one writer of the
+   BENCH_*.json reports.  An experiment always writes its report; the
+   exit status after the whole run is the verdict. *)
+module Gate = struct
+  let experiment = ref ""
+  let failures = ref []
+
+  let check ok fmt =
+    Printf.ksprintf (fun msg -> if not ok then failures := (!experiment, msg) :: !failures) fmt
+
+  (* no check of the running experiment has failed so far *)
+  let passed () = not (List.mem_assoc !experiment !failures)
+
+  let write file json =
+    let oc = open_out file in
+    output_string oc (Peak_store.Json.to_string json);
+    output_char oc '\n';
+    close_out oc;
+    note "wrote %s" file
+end
+
+(* A result as result.json records it: equal bytes mean the same winner,
+   search, ledger and every other stored field. *)
+let serialized r =
+  Peak_store.Json.to_string (Peak_store.Codec.session_result_to_json (Driver.result_summary r))
+
+(* Identity verdict: [a] and [b] are the same results, byte for byte. *)
+let identical msg a b =
+  let same = List.equal String.equal (List.map serialized a) (List.map serialized b) in
+  Gate.check same "%s" msg;
+  same
+
+let yes_no ok = if ok then "yes" else "NO"
 
 (* ================================================================== *)
 (* Table 1: rating consistency                                         *)
@@ -515,9 +553,8 @@ let ablation_compile () =
 (* The online/adaptive scenario of Section 6 under drift: the full
    (benchmark x drift pattern) matrix, production runs with in-place
    version swapping and staleness-triggered re-tuning, vs static -O3
-   and the drift-aware per-invocation oracle.  Gated like alloc/search:
-   per-cell SLOs, BENCH_adaptive.json, exit 1 on breach unless
-   PEAK_ADAPTIVE_GATE=off. *)
+   and the drift-aware per-invocation oracle.  Gated by per-cell SLOs;
+   the report is BENCH_adaptive.json. *)
 let adaptive_report_file = "BENCH_adaptive.json"
 
 (* Regime B's scalar warp per benchmark.  Only bounds-safe axes: scale
@@ -567,10 +604,6 @@ let adaptive () =
   note "staleness detector that re-opens exploration when the incumbent's recent";
   note "window regresses against its rating-time baseline.";
   let machine = Machine.pentium4 and seed = 3 in
-  let mini = Sys.getenv_opt "PEAK_ADAPTIVE_CELLS" = Some "mini" in
-  let report =
-    Option.value (Sys.getenv_opt "PEAK_ADAPTIVE_REPORT") ~default:adaptive_report_file
-  in
   let flag n = Option.get (Flags.by_name n) in
   let candidates =
     [
@@ -582,14 +615,6 @@ let adaptive () =
      bounded re-adaptation lag after a detected shift *)
   let slo_oracle_factor = 1.25 in
   let slo_readapt = 250.0 in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let benches =
-    if mini then List.map bench [ "ART"; "MGRID"; "SWIM" ] else Registry.all
-  in
-  let patterns_of invocations =
-    if mini then [ List.hd (adaptive_patterns invocations) ] else adaptive_patterns invocations
-  in
   let t =
     Table.create
       ~header:
@@ -605,7 +630,7 @@ let adaptive () =
       (fun (b : Benchmark.t) ->
         let name = b.Benchmark.name in
         let heavy = (b.Benchmark.trace Trace.Train ~seed).Trace.class_of = None in
-        let invocations = if mini then 1_000 else if heavy then 2_500 else 40_000 in
+        let invocations = if heavy then 2_500 else 40_000 in
         List.map
           (fun (pattern, spec_pattern) ->
             let spec =
@@ -622,11 +647,10 @@ let adaptive () =
               s.Adaptive.total_cycles <= slo_oracle_factor *. s.Adaptive.oracle_cycles
             in
             let ok_lag = s.Adaptive.readapts = 0 || lag <= slo_readapt in
-            if not ok_oracle then
-              fail "%s/%s: total %.0f exceeds %.2fx oracle %.0f" name pattern
-                s.Adaptive.total_cycles slo_oracle_factor s.Adaptive.oracle_cycles;
-            if not ok_lag then
-              fail "%s/%s: mean time-to-readapt %.0f exceeds %.0f" name pattern lag slo_readapt;
+            Gate.check ok_oracle "%s/%s: total %.0f exceeds %.2fx oracle %.0f" name pattern
+              s.Adaptive.total_cycles slo_oracle_factor s.Adaptive.oracle_cycles;
+            Gate.check ok_lag "%s/%s: mean time-to-readapt %.0f exceeds %.0f" name pattern lag
+              slo_readapt;
             Table.add_row t
               [
                 name;
@@ -641,15 +665,15 @@ let adaptive () =
                 (if ok_oracle && ok_lag then "ok" else "BREACH");
               ];
             (name, pattern, invocations, s))
-          (patterns_of invocations))
-      benches
+          (adaptive_patterns invocations))
+      Registry.all
   in
   Table.print t;
   note "oracle gap = total over the drift-aware per-invocation oracle; mean lag =";
   note "invocations from a stale verdict to exploration draining (re-tuned).";
   note "%d cells, %d invocations streamed in total." (List.length cells) !total_invocations;
-  if (not mini) && !total_invocations < 1_000_000 then
-    fail "matrix streamed %d invocations; the experiment promises >= 1M" !total_invocations;
+  Gate.check (!total_invocations >= 1_000_000)
+    "matrix streamed %d invocations; the experiment promises >= 1M" !total_invocations;
   let mean_lag =
     let lags =
       List.filter_map
@@ -668,7 +692,6 @@ let adaptive () =
        [
          ("seed", Json.Int seed);
          ("machine", Json.String "pentium4");
-         ("mini", Json.Bool mini);
          ("slo_oracle_factor", Json.Float slo_oracle_factor);
          ("slo_readapt_invocations", Json.Float slo_readapt);
          ("total_invocations", Json.Int !total_invocations);
@@ -693,21 +716,10 @@ let adaptive () =
                       ("mean_time_to_readapt", num s.Adaptive.mean_time_to_readapt);
                     ])
                 cells) );
-         ("pass", Json.Bool (!failures = []));
+         ("pass", Json.Bool (Gate.passed ()));
        ]
    in
-   let oc = open_out report in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" report;
-  match (List.rev !failures, Sys.getenv_opt "PEAK_ADAPTIVE_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "adaptive gate failed (%s), but PEAK_ADAPTIVE_GATE=off" (String.concat "; " over)
-  | over, _ ->
-      List.iter (fun e -> Printf.eprintf "adaptive: %s\n" e) over;
-      exit 1
+   Gate.write adaptive_report_file json)
 
 (* ================================================================== *)
 (* Persistent store: journaling overhead and replay speedup            *)
@@ -743,11 +755,6 @@ let store_exp () =
   in
   let t_cold, (_, cold) = time tune_stored in
   let t_replay, (replayed, warm) = time tune_stored in
-  let identical (a : Driver.result) (b : Driver.result) =
-    Optconfig.equal a.Driver.best_config b.Driver.best_config
-    && a.Driver.search_stats = b.Driver.search_stats
-    && a.Driver.tuning_cycles = b.Driver.tuning_cycles
-  in
   let id = meta.Peak_store.Codec.m_id in
   let journal =
     Filename.concat (Filename.concat (Filename.concat dir "sessions") id) "journal.jsonl"
@@ -760,14 +767,14 @@ let store_exp () =
       "cold store";
       Printf.sprintf "%.3f" t_cold;
       Printf.sprintf "%.2fx" (t_cold /. t_plain);
-      (if identical plain cold then "yes" else "NO");
+      yes_no (identical "cold store result differs from no store" [ plain ] [ cold ]);
     ];
   Table.add_row t
     [
       "replay (resume)";
       Printf.sprintf "%.3f" t_replay;
       Printf.sprintf "%.2fx" (t_replay /. t_plain);
-      (if identical plain warm then "yes" else "NO");
+      yes_no (identical "replayed result differs from no store" [ plain ] [ warm ]);
     ];
   Table.print t;
   note "Journal: %d rating events, %d bytes (%.0f bytes/event)." replayed jbytes
@@ -879,10 +886,10 @@ let tracing_exp () =
   List.iter
     (fun capacity ->
       let wall, buffered, dropped, r = timed_tune capacity in
-      let identical =
-        Optconfig.equal r.Driver.best_config r_off.Driver.best_config
-        && r.Driver.search_stats = r_off.Driver.search_stats
-        && r.Driver.tuning_cycles = r_off.Driver.tuning_cycles
+      let same =
+        identical
+          (Printf.sprintf "%d-event ring result differs from tracer off" capacity)
+          [ r_off ] [ r ]
       in
       Table.add_row t
         [
@@ -891,7 +898,7 @@ let tracing_exp () =
           Printf.sprintf "%.2fx" (wall /. t_off);
           string_of_int buffered;
           string_of_int dropped;
-          (if identical then "yes" else "NO");
+          yes_no same;
         ])
     [ 1_000; 100_000 ];
   Table.print t;
@@ -1059,20 +1066,12 @@ let parallel () =
   List.iter
     (fun domains ->
       let tn, rn = time domains in
-      let identical =
-        List.for_all2
-          (fun (a : Driver.result) (b : Driver.result) ->
-            Optconfig.equal a.Driver.best_config b.Driver.best_config
-            && a.Driver.search_stats = b.Driver.search_stats
-            && a.Driver.tuning_cycles = b.Driver.tuning_cycles)
-          r1 rn
-      in
       Table.add_row t
         [
           string_of_int domains;
           Printf.sprintf "%.2f" tn;
           Printf.sprintf "%.2fx" (t1 /. tn);
-          (if identical then "yes" else "NO");
+          yes_no (identical (Printf.sprintf "-j %d suite differs from -j 1" domains) r1 rn);
         ])
     [ 2; 4 ];
   Table.print t;
@@ -1215,6 +1214,18 @@ let read_file path =
 
 let alloc_exp () =
   heading "Allocation budget: bytes per invocation on the rating hot paths";
+  (* an unreadable budget file fails the experiment: a gate without
+     budgets would pass anything *)
+  let budget =
+    let open Peak_store in
+    match Json.of_string (read_file alloc_budget_file) with
+    | Error e -> failwith (Printf.sprintf "%s: %s" alloc_budget_file e)
+    | Ok j -> (
+        fun k ->
+          match Json.get_float k j with
+          | Ok v -> v
+          | Error e -> failwith (Printf.sprintf "%s: %s" alloc_budget_file e))
+  in
   let open Peak_ir in
   (* interp_step: one compiled invocation of the Figure-2 loop (n=256)
      on a reused scratch *)
@@ -1271,87 +1282,39 @@ let alloc_exp () =
       ("version_compile", version_compile);
     ]
   in
-  let budgets =
-    let open Peak_store in
-    match Json.of_string (read_file alloc_budget_file) with
-    | Ok j ->
-        Some
-          (List.map
-             (fun (k, _) ->
-               match Json.get_float k j with
-               | Ok v -> (k, v)
-               | Error e -> failwith (Printf.sprintf "%s: %s" alloc_budget_file e))
-             after)
-    | Error e ->
-        note "cannot read %s (%s); reporting without a gate" alloc_budget_file e;
-        None
-    | exception Sys_error e ->
-        note "cannot read %s (%s); reporting without a gate" alloc_budget_file e;
-        None
-  in
   let t = Table.create ~header:[ "Meter"; "Before B/call"; "After B/call"; "Budget"; "Verdict" ] () in
-  let failures = ref [] in
   List.iter
     (fun (k, after_b) ->
-      let before_b = List.assoc k alloc_before in
-      let budget = Option.map (List.assoc k) budgets in
-      let verdict =
-        match budget with
-        | None -> "-"
-        | Some limit ->
-            if after_b <= limit then "ok"
-            else begin
-              failures := k :: !failures;
-              "OVER"
-            end
-      in
+      let limit = budget k in
+      let ok = after_b <= limit in
+      Gate.check ok "%s allocates %.1f B/call, over its budget of %.1f (see %s)" k after_b limit
+        alloc_budget_file;
       Table.add_row t
         [
           k;
-          Printf.sprintf "%.1f" before_b;
+          Printf.sprintf "%.1f" (List.assoc k alloc_before);
           Printf.sprintf "%.1f" after_b;
-          (match budget with None -> "-" | Some l -> Printf.sprintf "%.1f" l);
-          verdict;
+          Printf.sprintf "%.1f" limit;
+          (if ok then "ok" else "OVER");
         ])
     after;
   Table.print t;
   note "interp_step is the compiled Figure-2 loop (n=256) on a reused scratch;";
-  note "its budget of %s byte/call means the steady-state loop allocates nothing."
-    (match budgets with
-    | Some b -> Printf.sprintf "%.0f" (List.assoc "interp_step" b)
-    | None -> "1");
+  note "its budget of %.0f byte/call means the steady-state loop allocates nothing."
+    (budget "interp_step");
   let open Peak_store in
-  let json =
-    Json.Obj
-      (List.map
-         (fun (k, after_b) ->
-           ( k,
-             Json.Obj
-               ([
+  Gate.write alloc_report_file
+    (Json.Obj
+       (List.map
+          (fun (k, after_b) ->
+            ( k,
+              Json.Obj
+                [
                   ("before_bytes_per_call", Json.Float (List.assoc k alloc_before));
                   ("after_bytes_per_call", Json.Float after_b);
-                ]
-               @
-               match budgets with
-               | Some b -> [ ("budget_bytes_per_call", Json.Float (List.assoc k b)) ]
-               | None -> []) ))
-         after)
-  in
-  let oc = open_out alloc_report_file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  note "wrote %s" alloc_report_file;
-  match (!failures, Sys.getenv_opt "PEAK_ALLOC_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "allocation budget exceeded by %s, but PEAK_ALLOC_GATE=off"
-        (String.concat ", " (List.rev over))
-  | over, _ ->
-      Printf.eprintf "allocation budget exceeded: %s (see %s)\n"
-        (String.concat ", " (List.rev over))
-        alloc_budget_file;
-      exit 1
+                  ("budget_bytes_per_call", Json.Float (budget k));
+                ] ))
+          after))
 
 (* ================================================================== *)
 (* Tuning service: a synthetic client fleet against peak-tuned          *)
@@ -1383,12 +1346,7 @@ type serve_client_outcome = {
 
 let serve_exp () =
   heading "Tuning service: client fleet vs peak-tuned (admission + multiplexing)";
-  let fleet =
-    match Sys.getenv_opt "PEAK_SERVE_FLEET" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 500)
-    | None -> 500
-  in
-  let capacity = 16 and domains = 4 and quantum = 64 in
+  let fleet = 500 and capacity = 16 and domains = 4 and quantum = 64 in
   let root =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -1405,8 +1363,8 @@ let serve_exp () =
     with
     | Ok d -> d
     | Error e ->
-        Printf.eprintf "serve: cannot start daemon: %s\n" e;
-        exit 1
+        serve_rm_rf root;
+        failwith ("cannot start daemon: " ^ e)
   in
   let server = Thread.create Peak_serve.Daemon.serve daemon in
   (* every tenant tunes the same cheap benchmark under a distinct seed,
@@ -1520,7 +1478,7 @@ let serve_exp () =
                 let open Peak_store in
                 Json.to_string (Codec.session_result_to_json wire_result)
                 = Json.to_string (Codec.session_result_to_json ref_result)))
-      (List.filter (fun i -> i < fleet) [ 0; fleet / 2; fleet - 1 ])
+      [ 0; fleet / 2; fleet - 1 ]
   in
   let throughput = if wall > 0.0 then float_of_int completed /. wall else 0.0 in
   let p50 = percentile latencies 0.50
@@ -1536,10 +1494,13 @@ let serve_exp () =
   Table.add_row t [ "latency p50"; Printf.sprintf "%.1f ms" (1000.0 *. p50) ];
   Table.add_row t [ "latency p95"; Printf.sprintf "%.1f ms" (1000.0 *. p95) ];
   Table.add_row t [ "latency p99"; Printf.sprintf "%.1f ms" (1000.0 *. p99) ];
-  Table.add_row t [ "bit-identical vs -j 1 batch"; (if identical then "yes" else "NO") ];
+  Table.add_row t [ "bit-identical vs -j 1 batch"; yes_no identical ];
   Table.print t;
   note "every session either completes or is rejected with a retry-after the";
   note "client honors; results are byte-identical to the batch library path.";
+  Gate.check (completed = fleet) "%d of %d clients failed: %s" (List.length failures) fleet
+    (match failures with e :: _ -> e | [] -> "?");
+  Gate.check identical "daemon results diverge from the batch library path";
   (let open Peak_store in
    let json =
      Json.Obj
@@ -1559,21 +1520,8 @@ let serve_exp () =
          ("bit_identical", Json.Bool identical);
        ]
    in
-   let oc = open_out serve_report_file in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" serve_report_file;
-  serve_rm_rf root;
-  if completed <> fleet then begin
-    Printf.eprintf "serve: %d of %d clients failed: %s\n" (List.length failures) fleet
-      (match failures with e :: _ -> e | [] -> "?");
-    exit 1
-  end;
-  if not identical then begin
-    Printf.eprintf "serve: daemon results diverge from the batch library path\n";
-    exit 1
-  end
+   Gate.write serve_report_file json);
+  serve_rm_rf root
 
 (* ================================================================== *)
 (* Search strategies: quality vs. rating spend, head-to-head           *)
@@ -1626,11 +1574,6 @@ let search_exp () =
             Pool.run ~domains (fun pool ->
                 Driver.tune ~seed ~strategy ~method_ ~pool ~store:s b machine Trace.Train))
   in
-  let serialized r =
-    Peak_store.Json.to_string (Peak_store.Codec.session_result_to_json (Driver.result_summary r))
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let t =
     Table.create
       ~header:
@@ -1655,9 +1598,11 @@ let search_exp () =
             [ 1; 2; 4 ]
         in
         let staged = List.assoc 1 staged_runs in
-        let staged_json = serialized staged in
         let domains_identical =
-          List.for_all (fun (_, r) -> String.equal (serialized r) staged_json) staged_runs
+          identical
+            (Printf.sprintf "%s: staged result differs across -j 1/2/4" name)
+            (List.map (fun _ -> staged) staged_runs)
+            (List.map snd staged_runs)
         in
         let on_ref = Driver.pass_summary b machine Trace.Ref in
         let scored =
@@ -1684,13 +1629,10 @@ let search_exp () =
         let fewer =
           staged_r.Driver.search_stats.Search.ratings < ce_r.Driver.search_stats.Search.ratings
         in
-        if not within then
-          fail "%s: staged %.1f%% is %.2f%% off the best-known %.1f%%" name staged_imp
-            ((gap -. 1.0) *. 100.0) best;
-        if not fewer then
-          fail "%s: staged spent %d ratings, CE %d" name
-            staged_r.Driver.search_stats.Search.ratings ce_r.Driver.search_stats.Search.ratings;
-        if not domains_identical then fail "%s: staged result differs across -j 1/2/4" name;
+        Gate.check within "%s: staged %.1f%% is %.2f%% off the best-known %.1f%%" name staged_imp
+          ((gap -. 1.0) *. 100.0) best;
+        Gate.check fewer "%s: staged spent %d ratings, CE %d" name
+          staged_r.Driver.search_stats.Search.ratings ce_r.Driver.search_stats.Search.ratings;
         Table.add_row t
           [
             name;
@@ -1701,9 +1643,9 @@ let search_exp () =
                imp)
               ce_r.Driver.search_stats.Search.ratings;
             string_of_int warm.Driver.search_stats.Search.ratings;
-            (if within then "yes" else "NO");
-            (if fewer then "yes" else "NO");
-            (if domains_identical then "yes" else "NO");
+            yes_no within;
+            yes_no fewer;
+            yes_no domains_identical;
           ];
         (name, warm, scored, best, within, fewer, domains_identical))
       Registry.all
@@ -1746,22 +1688,11 @@ let search_exp () =
                                scored) );
                       ] ))
                 rows) );
-         ("pass", Json.Bool (!failures = []));
+         ("pass", Json.Bool (Gate.passed ()));
        ]
    in
-   let oc = open_out search_report_file in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" search_report_file;
-  serve_rm_rf root;
-  match (List.rev !failures, Sys.getenv_opt "PEAK_SEARCH_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "search-strategy gate failed (%s), but PEAK_SEARCH_GATE=off" (String.concat "; " over)
-  | over, _ ->
-      List.iter (fun e -> Printf.eprintf "search: %s\n" e) over;
-      exit 1
+   Gate.write search_report_file json);
+  serve_rm_rf root
 
 (* ------------------------------------------------------------------ *)
 (* Knowledge base: does collaborative warm starting actually save      *)
@@ -1783,8 +1714,6 @@ let kb_exp () =
   note "nearest-first corpus prefixes; the gate requires the rating spend to be";
   note "monotone non-increasing in corpus size, strictly lower at the full";
   note "corpus than cold, with every run within 1%% of the best-known quality.";
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let donor_info =
     List.map
       (fun (b : Benchmark.t) ->
@@ -1859,15 +1788,14 @@ let kb_exp () =
       (fun (size, ratings, imp) ->
         let gap = (100.0 +. best) /. (100.0 +. imp) in
         let within = gap <= tolerance in
-        if not within then
-          fail "corpus %d: final quality %.1f%% is %.2f%% off the best-known %.1f%%" size imp
-            ((gap -. 1.0) *. 100.0) best;
+        Gate.check within "corpus %d: final quality %.1f%% is %.2f%% off the best-known %.1f%%"
+          size imp ((gap -. 1.0) *. 100.0) best;
         Table.add_row t
           [
             string_of_int size;
             string_of_int ratings;
             Printf.sprintf "%.1f" imp;
-            (if within then "yes" else "NO");
+            yes_no within;
           ];
         (size, ratings, imp, within))
       curve
@@ -1875,16 +1803,16 @@ let kb_exp () =
   Table.print t;
   (let rec check_monotone = function
      | (s1, r1, _, _) :: ((s2, r2, _, _) :: _ as rest) ->
-         if r2 > r1 then fail "ratings grew from %d (corpus %d) to %d (corpus %d)" r1 s1 r2 s2;
+         Gate.check (r2 <= r1) "ratings grew from %d (corpus %d) to %d (corpus %d)" r1 s1 r2 s2;
          check_monotone rest
      | _ -> ()
    in
    check_monotone curve);
   (match (curve, List.rev curve) with
   | (0, cold, _, _) :: _, (fullsz, warm, _, _) :: _ ->
-      if warm >= cold then
-        fail "full corpus (%d donors) spent %d ratings, cold spent %d" fullsz warm cold
-      else note "full corpus saves %d of %d cold ratings" (cold - warm) cold
+      Gate.check (warm < cold) "full corpus (%d donors) spent %d ratings, cold spent %d" fullsz
+        warm cold;
+      if warm < cold then note "full corpus saves %d of %d cold ratings" (cold - warm) cold
   | _ -> ());
   (let open Peak_store in
    let json =
@@ -1918,21 +1846,10 @@ let kb_exp () =
                       ("within_tolerance", Json.Bool within);
                     ])
                 curve) );
-         ("pass", Json.Bool (!failures = []));
+         ("pass", Json.Bool (Gate.passed ()));
        ]
    in
-   let oc = open_out kb_report_file in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" kb_report_file;
-  match (List.rev !failures, Sys.getenv_opt "PEAK_KB_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "kb gate failed (%s), but PEAK_KB_GATE=off" (String.concat "; " over)
-  | over, _ ->
-      List.iter (fun e -> Printf.eprintf "kb: %s\n" e) over;
-      exit 1
+   Gate.write kb_report_file json)
 
 let experiments =
   [
@@ -1970,11 +1887,17 @@ let () =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
+      Gate.experiment := name;
       match List.assoc_opt name experiments with
-      | Some f -> f ()
+      (* a setup error (no daemon, no budget file) fails its experiment *)
+      | Some f -> ( try f () with Failure msg | Sys_error msg -> Gate.check false "%s" msg)
       | None ->
-          Printf.eprintf "unknown experiment %s; available: %s\n" name
-            (String.concat ", " (List.map fst experiments));
-          exit 1)
+          Gate.check false "unknown experiment; available: %s"
+            (String.concat ", " (List.map fst experiments)))
     requested;
-  Printf.printf "\n[bench completed in %.1fs]\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\n[bench completed in %.1fs]\n" (Unix.gettimeofday () -. t0);
+  match List.rev !Gate.failures with
+  | [] -> ()
+  | failures ->
+      List.iter (fun (experiment, msg) -> Printf.eprintf "%s: %s\n" experiment msg) failures;
+      exit 1

@@ -157,8 +157,10 @@ let check_identical_summary tag (a : Peak_store.Codec.session_result)
 
 (* Crash simulation: given a completed session's store, build a copy
    whose journal ends after [keep] whole events plus a torn half-line —
-   exactly what a SIGKILL between fsync batches leaves behind.  Returns
-   the source journal's total line count. *)
+   exactly what a SIGKILL between fsync batches leaves behind.  The
+   store's rating index, when [Session.gc] wrote one, is copied too: a
+   staged session's screen trains on it.  Returns the source journal's
+   total line count. *)
 let crashed_copy ~src_dir ~dst_dir ~id ~keep =
   let src = Filename.concat (Filename.concat src_dir "sessions") id in
   let dst = Filename.concat (Filename.concat dst_dir "sessions") id in
@@ -169,7 +171,7 @@ let crashed_copy ~src_dir ~dst_dir ~id ~keep =
     end
   in
   mkdir_p dst;
-  let copy name =
+  let copy src dst name =
     let ic = open_in (Filename.concat src name) in
     let n = in_channel_length ic in
     let contents = really_input_string ic n in
@@ -178,7 +180,9 @@ let crashed_copy ~src_dir ~dst_dir ~id ~keep =
     output_string oc contents;
     close_out oc
   in
-  copy "meta.json";
+  copy src dst "meta.json";
+  if Sys.file_exists (Filename.concat src_dir "index.json") then
+    copy src_dir dst_dir "index.json";
   let lines = ref [] in
   let ic = open_in (Filename.concat src "journal.jsonl") in
   (try

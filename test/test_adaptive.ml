@@ -79,10 +79,7 @@ let test_adaptive_single_context_section () =
 (* reruns bit-identical — swept over pinned seeds.                     *)
 (* ------------------------------------------------------------------ *)
 
-let drift_seeds =
-  match Sys.getenv_opt "PEAK_ADAPTIVE_SEED" with
-  | Some s -> [ int_of_string s ]
-  | None -> [ 3; 7; 23 ]
+let drift_seeds = [ 3; 7; 23 ]
 
 (* ART is the staleness benchmark: a single context slot (continuous
    vigilance defeats CBR), so the only way the engine can react to

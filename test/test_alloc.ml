@@ -1,9 +1,10 @@
 (* Allocation-regression tests for the rating hot paths.
 
-   The budgets pinned here mirror ci/alloc_budget.json: the steady-state
+   Each meter must stay strictly below its budget in ci/alloc_budget.json,
+   the file `bench/main.exe alloc` gates on too: the steady-state
    compiled interpreter loop allocates nothing (sub-byte amortized), a
    warm rating-summary scratch stays within a small constant, and so do
-   a replayed runner step and a version compile.  The
+   a runner step, a replayed runner step and a version compile.  The
    assertions only run on the native backend — bytecode boxes every
    float and would trip any budget. *)
 
@@ -11,6 +12,16 @@ open Peak_ir
 module B = Builder
 
 let native = Sys.backend_type = Sys.Native
+
+(* [Alloc_budget.json] is ci/alloc_budget.json, embedded by test/dune. *)
+let check_budget ~meter what per_call =
+  let open Peak_store in
+  match Result.bind (Json.of_string Alloc_budget.json) (Json.get_float meter) with
+  | Error e -> Alcotest.failf "ci/alloc_budget.json: %s" e
+  | Ok budget ->
+      if per_call >= budget then
+        Alcotest.failf "%s allocates %.2f bytes per call (%s budget %.0f)" what per_call meter
+          budget
 
 (* Amortized bytes per call after two warmup calls (the warmups grow
    scratch buffers to their steady-state capacity).  Minimum of three
@@ -48,9 +59,8 @@ let test_interp_steady_state_zero_alloc () =
     Interp.set_scalar env "n" 256.0;
     let compiled = Interp.compile cfg env in
     let scratch = Interp.make_scratch compiled in
-    let per_call = bytes_per_call (fun () -> Interp.run_compiled compiled scratch) 1000 in
-    if per_call >= 1.0 then
-      Alcotest.failf "run_compiled allocates %.1f bytes/invocation (budget < 1)" per_call
+    check_budget ~meter:"interp_step" "run_compiled"
+      (bytes_per_call (fun () -> Interp.run_compiled compiled scratch) 1000)
   end
 
 (* The same gate over every registry section, each after its trace's
@@ -71,9 +81,7 @@ let test_registry_sections_zero_alloc () =
         trace.Trace.init env;
         trace.Trace.setup 0 env;
         let per_call = bytes_per_call (fun () -> Interp.run_compiled compiled scratch) 40 in
-        if per_call >= 1.0 then
-          Alcotest.failf "%s: run_compiled allocates %.2f bytes/invocation (budget < 1)"
-            b.Benchmark.name per_call)
+        check_budget ~meter:"interp_step" (b.Benchmark.name ^ ": run_compiled") per_call)
       Registry.all
 
 let test_summarize_into_budget () =
@@ -82,17 +90,31 @@ let test_summarize_into_budget () =
     let samples = List.init 80 (fun _ -> 100.0 +. Peak_util.Rng.float rng) in
     let params = Peak.Rating.default_params in
     let scratch = Peak.Rating.make_scratch () in
-    let per_call =
-      bytes_per_call (fun () -> Peak.Rating.summarize_into scratch ~params samples) 2000
+    check_budget ~meter:"rating_window" "summarize_into"
+      (bytes_per_call (fun () -> Peak.Rating.summarize_into scratch ~params samples) 2000)
+  end
+
+(* One full simulated invocation of ART (interpret + cost model): a
+   trace without a class_of cache, so the compiled interpreter runs
+   every step. *)
+let test_runner_step_budget () =
+  if native then begin
+    let open Peak_workload in
+    let b = Option.get (Registry.by_name "ART") in
+    let tsec = Peak.Tsection.make b.Benchmark.ts in
+    let machine = Peak_machine.Machine.sparc2 in
+    let trace = b.Benchmark.trace Trace.Train ~seed:3 in
+    let runner = Peak.Runner.create ~seed:3 tsec trace machine in
+    let version =
+      Peak_compiler.Version.compile machine tsec.Peak.Tsection.features Peak_compiler.Optconfig.o3
     in
-    if per_call > 64.0 then
-      Alcotest.failf "summarize_into allocates %.1f bytes/window (budget 64)" per_call
+    check_budget ~meter:"runner_step" "Runner.step"
+      (bytes_per_call (fun () -> Peak.Runner.step runner version) 500)
   end
 
 (* A rating runner following another through a shared tape reads the
    recorded interpretation and pays for timing only, over integer slots:
-   little more than the sample it returns (budget 256, as in
-   ci/alloc_budget.json). *)
+   little more than the sample it returns. *)
 let test_runner_replay_budget () =
   if native then begin
     let open Peak_workload in
@@ -117,13 +139,12 @@ let test_runner_replay_budget () =
     let per_call = bytes_per_call (fun () -> Peak.Runner.step follower version) n in
     Alcotest.(check int) "the follower interpreted nothing" interpreted
       (Peak.Tape.interpreted tape);
-    if per_call > 256.0 then
-      Alcotest.failf "a replayed Runner.step allocates %.1f bytes (budget 256)" per_call
+    check_budget ~meter:"runner_replay" "a replayed Runner.step" per_call
   end
 
 (* Compiling a version tests resolved flags, never names: a compile of
    ART's section under -O3 allocates its per-block workloads and little
-   else (budget 16384, as in ci/alloc_budget.json). *)
+   else. *)
 let test_version_compile_budget () =
   if native then begin
     let open Peak_workload in
@@ -133,9 +154,7 @@ let test_version_compile_budget () =
       Peak_compiler.Version.compile Peak_machine.Machine.sparc2 tsec.Peak.Tsection.features
         Peak_compiler.Optconfig.o3
     in
-    let per_call = bytes_per_call compile 500 in
-    if per_call > 16384.0 then
-      Alcotest.failf "Version.compile allocates %.1f bytes (budget 16384)" per_call
+    check_budget ~meter:"version_compile" "Version.compile" (bytes_per_call compile 500)
   end
 
 let suites =
@@ -148,6 +167,7 @@ let suites =
           test_registry_sections_zero_alloc;
         Alcotest.test_case "summarize_into stays within budget" `Quick
           test_summarize_into_budget;
+        Alcotest.test_case "runner step stays within budget" `Quick test_runner_step_budget;
         Alcotest.test_case "replayed runner step stays within budget" `Quick
           test_runner_replay_budget;
         Alcotest.test_case "version compile stays within budget" `Quick

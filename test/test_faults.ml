@@ -19,13 +19,9 @@ let with_tmpdir = Oracles.with_tmpdir
 let check_identical = Oracles.check_identical
 let crashed_copy = Oracles.crashed_copy
 
-(* The fault seeds the differential oracles sweep.  CI's fault-smoke
-   gate pins one seed per run via PEAK_FAULT_SEED so the three gate
-   runs cover three distinct schedules without repeating work. *)
-let fault_seeds =
-  match Sys.getenv_opt "PEAK_FAULT_SEED" with
-  | Some s -> [ int_of_string s ]
-  | None -> [ 3; 7; 23 ]
+(* The fault seeds the differential oracles sweep: three distinct
+   schedules. *)
+let fault_seeds = [ 3; 7; 23 ]
 
 let default_plan seed = Fault.create ~spec:Fault.default_spec ~seed ()
 

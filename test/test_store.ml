@@ -910,6 +910,30 @@ let test_fallback_resume () =
             (List.length r.Codec.r_attempts))
     [ (1, 1); (1, 2); (1, 4); (n_events / 2, 1); (n_events / 2, 2); (n_events / 2, 4) ]
 
+(* Kill/resume of a staged session: its screen trains on the store's
+   rating index, written by [Session.gc] after a BE warmup, so a resume
+   must read the same corpus and land on the uninterrupted result. *)
+let test_staged_resume () =
+  with_tmpdir @@ fun root ->
+  let b = bench "ART" and machine = Machine.pentium4 in
+  let method_ = Method.Rbr in
+  let tune ~strategy dir =
+    let meta = meta_for ~method_ ~strategy b machine in
+    let session = Result.get_ok (Session.open_ ~dir ~meta ()) in
+    Fun.protect
+      ~finally:(fun () -> Session.close session)
+      (fun () -> Driver.tune ~seed:11 ~strategy ~method_ ~store:session b machine Trace.Train)
+  in
+  let full_dir = Filename.concat root "full" in
+  ignore (tune ~strategy:Strategy.Be full_dir);
+  ignore (Result.get_ok (Session.gc ~dir:full_dir));
+  let full = tune ~strategy:Strategy.Staged full_dir in
+  let id = (meta_for ~method_ ~strategy:Strategy.Staged b machine).Codec.m_id in
+  let n_events = (Result.get_ok (Session.load_info ~dir:full_dir ~id)).Session.info_events in
+  let dst_dir = Filename.concat root "crash" in
+  ignore (crashed_copy ~src_dir:full_dir ~dst_dir ~id ~keep:(n_events / 2));
+  check_identical "staged resume vs uninterrupted" full (tune ~strategy:Strategy.Staged dst_dir)
+
 (* ------------------------------------------------------------------ *)
 (* Warm start                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1033,6 +1057,7 @@ let suites =
         Alcotest.test_case "kill/resume across a fallback decision" `Slow
           test_fallback_resume;
         Alcotest.test_case "kill/resume with compiles" `Slow test_compile_resume;
+        Alcotest.test_case "kill/resume of a staged session" `Slow test_staged_resume;
       ] );
     ("store.warmstart", [ Alcotest.test_case "warm start proposals" `Quick test_warmstart ]);
   ]
