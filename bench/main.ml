@@ -63,6 +63,22 @@ let identical msg a b =
 
 let yes_no ok = if ok then "yes" else "NO"
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error _ -> ()
+
+(* A fresh directory under the temp dir, removed with everything in it
+   when [f] returns or raises. *)
+let with_temp_dir prefix f =
+  let root = Filename.temp_file prefix "" in
+  Sys.remove root;
+  Unix.mkdir root 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
+
 (* ================================================================== *)
 (* Table 1: rating consistency                                         *)
 (* ================================================================== *)
@@ -732,9 +748,7 @@ let store_exp () =
   note "journal, so every rating is served from the cache).";
   let b = bench "ART" and machine = Machine.pentium4 in
   let method_ = Method.Rbr and strategy = Strategy.Be in
-  let root = Filename.temp_file "peak-bench-store" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
+  with_temp_dir "peak-bench-store" @@ fun root ->
   let dir = Filename.concat root "store" in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -1175,13 +1189,34 @@ let bytes_per_call f n =
   in
   Float.min (once ()) (Float.min (once ()) (once ()))
 
+(* Amortized bytes per invocation of one whole pass: [pass ()] returns
+   the pass to meter and its invocation count, with whatever must not be
+   metered (building a trace) done before it returns.  Minimum of three
+   passes, as above.  The pass starts and ends on a minor collection:
+   OCaml 5.1's [Gc.allocated_bytes] counts the current minor cycle's
+   words at an eighth, so a window is exact only between collections. *)
+let bytes_per_invocation pass =
+  let once () =
+    let run, invocations = pass () in
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    run ();
+    Gc.minor ();
+    let b1 = Gc.allocated_bytes () in
+    (b1 -. b0) /. float_of_int invocations
+  in
+  Float.min (once ()) (Float.min (once ()) (once ()))
+
 (* The "before" column of BENCH_alloc.json: the first three probes
    measured on this harness before the slot compiler / scratch-buffer
    refactor (string-keyed environment, allocating summarize); for
    runner_replay, the same replayed step while the memory system was
    keyed by base name (an access record list per charge, a residency
    list refolded per touch); for version_compile, the same compile
-   while the flag model still looked every flag up by name. *)
+   while the flag model still looked every flag up by name; for
+   profile_step and summary_step, the same passes while every
+   invocation copied its counters, looked its context names up by
+   string and drew from a boxed generator state. *)
 let alloc_before =
   [
     ("interp_step", 61907.7);
@@ -1189,6 +1224,8 @@ let alloc_before =
     ("runner_step", 271011.1);
     ("runner_replay", 2129.7);
     ("version_compile", 1058626.4);
+    ("profile_step", 2171.7);
+    ("summary_step", 829.3);
   ]
 
 (* Figure-2 shape: a loop-body component plus a tail component. *)
@@ -1273,6 +1310,25 @@ let alloc_exp () =
       (fun () -> Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3)
       2000
   in
+  (* profile_step: one Profile.run of MESA's train pass (48,250
+     invocations, one distinct context each: the context table's worst
+     case), per invocation, with the trace built before metering *)
+  let mesa = bench "MESA" in
+  let mesa_tsec = Tsection.make mesa.Benchmark.ts in
+  let profile_step =
+    bytes_per_invocation (fun () ->
+        let trace = mesa.Benchmark.trace Trace.Train ~seed:3 in
+        ( (fun () -> ignore (Profile.run mesa_tsec trace Machine.sparc2)),
+          trace.Trace.length ))
+  in
+  (* summary_step: one Driver.pass_summary of GZIP's ref pass (123,900
+     invocations), per invocation, trace construction included *)
+  let gzip = bench "GZIP" in
+  let gzip_ref = (gzip.Benchmark.trace Trace.Ref ~seed:5).Trace.length in
+  let summary_step =
+    bytes_per_invocation (fun () ->
+        ((fun () -> ignore (Driver.pass_summary gzip Machine.pentium4 Trace.Ref)), gzip_ref))
+  in
   let after =
     [
       ("interp_step", interp_step);
@@ -1280,6 +1336,8 @@ let alloc_exp () =
       ("runner_step", runner_step);
       ("runner_replay", runner_replay);
       ("version_compile", version_compile);
+      ("profile_step", profile_step);
+      ("summary_step", summary_step);
     ]
   in
   let t = Table.create ~header:[ "Meter"; "Before B/call"; "After B/call"; "Budget"; "Verdict" ] () in
@@ -1328,14 +1386,6 @@ let percentile sorted p =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
 
-let rec serve_rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> serve_rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
 (* One synthetic tenant: submit, retrying on saturation after the
    server's quoted retry-after, until the session finishes. *)
 type serve_client_outcome = {
@@ -1352,7 +1402,7 @@ let serve_exp () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "peak-serve-bench.%d" (Unix.getpid ()))
   in
-  serve_rm_rf root;
+  rm_rf root;
   Unix.mkdir root 0o755;
   let store = Filename.concat root "store" in
   let endpoint = Peak_serve.Wire.Unix_sock (Filename.concat root "sock") in
@@ -1363,7 +1413,7 @@ let serve_exp () =
     with
     | Ok d -> d
     | Error e ->
-        serve_rm_rf root;
+        rm_rf root;
         failwith ("cannot start daemon: " ^ e)
   in
   let server = Thread.create Peak_serve.Daemon.serve daemon in
@@ -1521,7 +1571,7 @@ let serve_exp () =
        ]
    in
    Gate.write serve_report_file json);
-  serve_rm_rf root
+  rm_rf root
 
 (* ================================================================== *)
 (* Search strategies: quality vs. rating spend, head-to-head           *)
@@ -1559,9 +1609,7 @@ let search_exp () =
   note "first (spend in the corpus column, amortized across every later tune";
   note "of that store), and the same staged session re-runs at -j 1/2/4 on";
   note "snapshots of the warmed store to check byte-identity.";
-  let root = Filename.temp_file "peak-bench-search" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
+  with_temp_dir "peak-bench-search" @@ fun root ->
   let tolerance = 1.01 in
   let tune_stored ~domains ~dir ~strategy b =
     let meta = Driver.session_meta ~seed ~method_ ~strategy b machine Trace.Train in
@@ -1691,8 +1739,7 @@ let search_exp () =
          ("pass", Json.Bool (Gate.passed ()));
        ]
    in
-   Gate.write search_report_file json);
-  serve_rm_rf root
+   Gate.write search_report_file json)
 
 (* ------------------------------------------------------------------ *)
 (* Knowledge base: does collaborative warm starting actually save      *)

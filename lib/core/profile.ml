@@ -26,6 +26,101 @@ type t = {
   ts_pass_cycles : float;
 }
 
+(* The context table: one entry per distinct pruned context vector, its
+   invocation count and summed time.  Vectors are equal under
+   [compare] (nan equals nan, -0.0 equals 0.0), and an entry's values
+   are those of its last invocation, as a table whose [replace] also
+   replaces the key keeps them.
+
+   The stats come out in the order the profile has always given: a
+   generic [Hashtbl] (created at 16 buckets) folded into a list, then
+   stable-sorted by descending time share.  That order is a function of
+   the keys' hashes and first occurrences, so no table is built for it.
+   After [d] insertions such a table has [b] buckets, the least power
+   of two from 16 up with [d <= 2b]; a key sits in bucket
+   [Hashtbl.hash key land (b - 1)], newest first (a resize keeps each
+   chain's order), so the folded list runs by bucket descending, then by
+   first occurrence.  The stable sort puts time share ahead of both:
+   stats run by (time share descending, bucket descending, first
+   occurrence ascending), a total order.
+
+   Lookups go through an open-addressed table of context ids, and a
+   vector is read from its invocation's row of [ctx]: an invocation
+   allocates nothing. *)
+let context_stats ~ctx ~k ~keep ~times ~total =
+  let n = Array.length times in
+  let kept = Array.of_list (List.filter (fun j -> keep.(j)) (List.init k Fun.id)) in
+  let m = Array.length kept in
+  let key = Array.make m 0.0 in
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap (-1) in
+  let hash = Array.make n 0 and first = Array.make n 0 and last = Array.make n 0 in
+  let count = Array.make n 0 and time = Array.make n 0.0 in
+  let distinct = ref 0 in
+  (* [key] holds the vector of context [id]'s first invocation *)
+  let matches id =
+    let row = first.(id) * k in
+    let j = ref 0 in
+    while !j < m && Float.compare key.(!j) ctx.(row + kept.(!j)) = 0 do
+      incr j
+    done;
+    !j = m
+  in
+  for i = 0 to n - 1 do
+    for j = 0 to m - 1 do
+      key.(j) <- ctx.((i * k) + kept.(j))
+    done;
+    let h = Hashtbl.hash key in
+    let s = ref (h land mask) in
+    while slots.(!s) >= 0 && not (hash.(slots.(!s)) = h && matches slots.(!s)) do
+      s := (!s + 1) land mask
+    done;
+    if slots.(!s) < 0 then begin
+      let id = !distinct in
+      incr distinct;
+      slots.(!s) <- id;
+      hash.(id) <- h;
+      first.(id) <- i
+    end;
+    let id = slots.(!s) in
+    last.(id) <- i;
+    count.(id) <- count.(id) + 1;
+    time.(id) <- time.(id) +. times.(i)
+  done;
+  let d = !distinct in
+  let buckets = ref 16 in
+  while d > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let bucket id = hash.(id) land (!buckets - 1) in
+  let share = Float.max 1.0 total in
+  let time_share = Array.make d 0.0 in
+  for id = 0 to d - 1 do
+    time_share.(id) <- time.(id) /. share
+  done;
+  let order = Array.init d Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare time_share.(b) time_share.(a) with
+      | 0 -> ( match Int.compare (bucket b) (bucket a) with 0 -> Int.compare a b | c -> c)
+      | c -> c)
+    order;
+  let stats = ref [] in
+  for r = d - 1 downto 0 do
+    let id = order.(r) in
+    let row = last.(id) * k in
+    let values = Array.make m 0.0 in
+    for j = 0 to m - 1 do
+      values.(j) <- ctx.(row + kept.(j))
+    done;
+    stats := { values; count = count.(id); time_share = time_share.(id) } :: !stats
+  done;
+  !stats
+
 let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
   let o3 = Version.compile machine tsec.Tsection.features Optconfig.o3 in
   let runner = Runner.create ~seed ~context_switch_rate:0.0 tsec trace machine in
@@ -50,16 +145,20 @@ let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
     done;
     marks
   in
-  let samples = ref [] in
-  let ctx_values = Array.make n [||] in
+  (* the pass streams into flat arrays: invocation [i]'s candidate
+     values are [ctx.(i * k)] .. [ctx.(i * k + k - 1)] *)
+  let handles = Array.of_list (List.map Interp.source_handle candidate_sources) in
+  let k = Array.length handles in
+  let ctx = Array.make (n * k) 0.0 in
   let times = Array.make n 0.0 in
+  let samples = ref [] in
   let total = ref 0.0 in
   for i = 0 to n - 1 do
-    let s = Runner.step ~context:candidate_sources runner o3 in
-    times.(i) <- s.Runner.time;
-    total := !total +. s.Runner.time;
-    ctx_values.(i) <- s.Runner.context;
-    if sample_here.(i) then samples := s.Runner.counts :: !samples
+    let time = Runner.step_lent runner o3 ~context:handles ctx (i * k) in
+    times.(i) <- time;
+    total := !total +. time;
+    (* a sample outlives the invocation; the lent counts do not *)
+    if sample_here.(i) then samples := Array.copy (Runner.lent_counts runner) :: !samples
   done;
   let count_samples = Array.of_list (List.rev !samples) in
   let components = Component_analysis.analyze ~samples:count_samples in
@@ -69,36 +168,23 @@ let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
     | Context_analysis.Applicable { sources; runtime_constant_arrays } ->
         (* run-time-constant pruning: drop sources whose observed value
            never changes *)
-        let n_src = List.length sources in
-        let keep = Array.make n_src false in
+        let keep = Array.make k false in
         if n > 0 then
-          for j = 0 to n_src - 1 do
-            let first = ctx_values.(0).(j) in
+          for j = 0 to k - 1 do
+            let first = ctx.(j) in
             for i = 1 to n - 1 do
-              if ctx_values.(i).(j) <> first then keep.(j) <- true
+              if ctx.((i * k) + j) <> first then keep.(j) <- true
             done
           done;
         let kept_sources = List.filteri (fun j _ -> keep.(j)) sources in
         let pruned = List.filteri (fun j _ -> not keep.(j)) sources in
-        let tbl = Hashtbl.create 16 in
-        for i = 0 to n - 1 do
-          let key =
-            Array.of_list
-              (List.filteri (fun j _ -> keep.(j)) (Array.to_list ctx_values.(i)))
-          in
-          let count, time =
-            Option.value ~default:(0, 0.0) (Hashtbl.find_opt tbl key)
-          in
-          Hashtbl.replace tbl key (count + 1, time +. times.(i))
-        done;
-        let stats =
-          Hashtbl.fold
-            (fun values (count, time) acc ->
-              { values; count; time_share = time /. Float.max 1.0 !total } :: acc)
-            tbl []
-          |> List.sort (fun a b -> compare b.time_share a.time_share)
-        in
-        Cbr_ok { sources = kept_sources; stats; runtime_constant_arrays; pruned }
+        Cbr_ok
+          {
+            sources = kept_sources;
+            stats = context_stats ~ctx ~k ~keep ~times ~total:!total;
+            runtime_constant_arrays;
+            pruned;
+          }
   in
   let avg_component_counts = Component_analysis.avg_counts components ~samples:count_samples in
   let block_weights = o3.Version.block_cycles in

@@ -112,7 +112,9 @@ let tsection t = t.tsec
 
 (* Move to the next invocation: handle pass wrap, the occasional
    cache-flushing perturbation, and the tape's set-up of the ordinal
-   (program init at a pass boundary, then the trace's setup). *)
+   (program init at a pass boundary, then the trace's setup).  At a
+   zero rate no draw can flush, so none is made: the perturbation
+   stream is split off for this alone, and no other stream moves. *)
 let advance t =
   if (not t.initialized) || t.pos >= t.length then begin
     Memsys.flush t.memsys;
@@ -120,13 +122,16 @@ let advance t =
     t.initialized <- true;
     t.pos <- 0
   end;
-  if Rng.float t.perturb_rng < t.context_switch_rate then Memsys.flush t.memsys;
+  if t.context_switch_rate > 0.0 && Rng.float t.perturb_rng < t.context_switch_rate then
+    Memsys.flush t.memsys;
   Tape.seek t.tape t.invocations;
   t.invocations <- t.invocations + 1;
   t.pos <- t.pos + 1
 
-(* The ordinal [advance] just set up. *)
+(* The ordinal [advance] just set up: kept, or lent to a whole-pass
+   reader that keeps nothing past the next invocation. *)
 let interp_result t = Tape.result t.tape (t.invocations - 1)
+let lent_result t = Tape.lend t.tape (t.invocations - 1)
 
 let fault_key t (version : Peak_compiler.Version.t) =
   let config = version.Peak_compiler.Version.config in
@@ -198,6 +203,22 @@ let fault_check t version (r : Interp.result) =
       | Some Peak_sim.Fault.Hang -> hang t version)
 
 let read_context t sources = Tape.context t.tape (t.invocations - 1) sources
+
+(* [step] for the profile's whole pass: the context goes to a row of the
+   caller's array, the counters stay lent, and no sample is built.  The
+   same calls in the same order as [step], so every draw lands alike. *)
+let step_lent t version ~context row off =
+  advance t;
+  let k = Array.length context in
+  if k > 0 then begin
+    Tape.context_into t.tape (t.invocations - 1) context row off;
+    t.tuning_cycles <- t.tuning_cycles +. (4.0 *. float_of_int k)
+  end;
+  let r = lent_result t in
+  fault_check t version r;
+  time_execution t version r
+
+let lent_counts t = (lent_result t).Interp.block_counts
 
 let step ?(context = []) t version =
   advance t;
@@ -315,7 +336,7 @@ let pass_terms t =
   let mem = ref 0.0 in
   for _ = 1 to rest_of_pass t do
     advance t;
-    let r = interp_result t in
+    let r = lent_result t in
     let c = r.Interp.block_counts in
     for b = 0 to Array.length c - 1 do
       counts.(b) <- counts.(b) + c.(b)

@@ -94,7 +94,9 @@ val tsection : t -> Tsection.t
 
 val step :
   ?context:Peak_ir.Expr.source list -> t -> Peak_compiler.Version.t -> sample
-(** Advance to the next invocation and execute it under the version. *)
+(** Advance to the next invocation and execute it under the version.
+    The sample's [counts] are the reader's to keep ({!Tape.result}):
+    no later step overwrites them. *)
 
 val step_choose :
   context:Peak_ir.Expr.source list ->
@@ -138,6 +140,33 @@ val charge_overhead : t -> float -> unit
 val run_full_pass : t -> Peak_compiler.Version.t -> float
 (** Execute every remaining invocation of the current pass under one
     version and return the summed TS time — the WHL primitive. *)
+
+(** {1 Whole-pass reads}
+
+    The two readers that walk a whole pass — the §3 profile
+    ({!Profile.run}) and {!pass_terms} — read each invocation's counters
+    lent from the runner's private tape ({!Tape.lend}) instead of
+    copying them, and read context sources through handles resolved
+    once.  Every other read copies: {!step}, {!step_choose},
+    {!step_pair}, {!step_batch} and {!output_digest}. *)
+
+val step_lent :
+  t ->
+  Peak_compiler.Version.t ->
+  context:Peak_ir.Interp.source_handle array ->
+  float array ->
+  int ->
+  float
+(** [step_lent t v ~context row off] is [step ~context t v] for a
+    whole-pass reader on a runner of its own ({!create}): the values of
+    the [context] sources go to [row.(off)], [row.(off + 1)], … and the
+    measured time is returned.  The runner charges, draws and times
+    exactly as {!step} does.  No sample is built: the block counts stay
+    lent through {!lent_counts} until the next step. *)
+
+val lent_counts : t -> int array
+(** Block counts of the invocation the last step executed, lent: the
+    next step may overwrite them, so a caller that keeps them copies. *)
 
 val pass_terms : t -> int array * float
 (** Consume the invocations {!run_full_pass} would and return the two

@@ -29,7 +29,9 @@ type shared = {
 }
 
 (* The one ordinal a private tape holds; [result] is [unread] and
-   [payload] negative until its reader asks for them. *)
+   [payload] negative until its reader asks for them.  Once interpreted,
+   [result] is the class cache's, a copy, or the scratch's lent counters
+   ({!Interp.lent_result}), which [result] copies before handing out. *)
 type cursor = {
   mutable ordinal : int;
   mutable result : Interp.result;
@@ -110,25 +112,33 @@ let setup t e k =
   if pos = 0 then e.trace.Trace.init e.env;
   e.trace.Trace.setup pos e.env
 
+let run t e =
+  Interp.run_compiled e.compiled e.scratch;
+  t.interpreted <- t.interpreted + 1;
+  t.steps <- t.steps + Interp.scratch_steps e.scratch
+
+(* Interpret ordinal [k].  The result is the class cache's when the
+   trace declares the class seen, else the scratch's counters, lent:
+   the next interpretation overwrites them, so a reader that keeps them
+   takes [kept]. *)
 let interpret t e k =
-  let run () =
-    Interp.run_compiled e.compiled e.scratch;
-    t.interpreted <- t.interpreted + 1;
-    t.steps <- t.steps + Interp.scratch_steps e.scratch;
-    (* fresh snapshot: the counts array escapes into samples and the
-       class cache, so it must not alias the reused scratch *)
-    Interp.result_of_scratch e.scratch
-  in
   match e.trace.Trace.class_of with
-  | None -> run ()
+  | None ->
+      run t e;
+      Interp.lent_result e.scratch
   | Some class_of -> (
       let c = class_of (k mod t.length) in
-      match Hashtbl.find_opt e.class_cache c with
-      | Some r -> r
-      | None ->
-          let r = run () in
+      match Hashtbl.find e.class_cache c with
+      | r -> r
+      | exception Not_found ->
+          run t e;
+          (* the cache outlives the invocation: a snapshot *)
+          let r = Interp.result_of_scratch e.scratch in
           Hashtbl.add e.class_cache c r;
           r)
+
+(* A result no later interpretation can overwrite. *)
+let kept e r = if r == Interp.lent_result e.scratch then Interp.result_of_scratch e.scratch else r
 
 (* ---------------- shared ---------------- *)
 
@@ -153,7 +163,7 @@ let record t sh k =
             Float.nan)
       sh.candidates
   in
-  let result = interpret t e k in
+  let result = kept e (interpret t e k) in
   let payload =
     match Snapshot.measure_bytes t.tsec e.env with
     | b -> b
@@ -217,6 +227,15 @@ let private_result t c k =
   if c.result == unread then c.result <- interpret t (engine t) k;
   c.result
 
+(* Private readers that keep what they read get a snapshot: samples and
+   the adaptive engine hold counts across invocations. *)
+let private_kept t c k =
+  let e = engine t in
+  let r = private_result t c k in
+  let r' = kept e r in
+  c.result <- r';
+  r'
+
 (* ---------------- readers ---------------- *)
 
 let seek t k =
@@ -247,7 +266,21 @@ let context t k sources =
       let env = (engine t).env in
       Array.of_list (List.map (Interp.read_source env) sources)
 
+let context_into t k sources dst off =
+  match t.mode with
+  | Shared _ -> invalid_arg "Tape.context_into: a shared tape serves contexts through Tape.context"
+  | Private c ->
+      current c k;
+      if c.result != unread then invalid_arg "Tape.context_into: read after the interpreter ran";
+      let env = (engine t).env in
+      for j = 0 to Array.length sources - 1 do
+        Interp.read_source_into sources.(j) env dst (off + j)
+      done
+
 let result t k =
+  match t.mode with Shared sh -> (get sh k).result | Private c -> private_kept t c k
+
+let lend t k =
   match t.mode with Shared sh -> (get sh k).result | Private c -> private_result t c k
 
 let payload t k =

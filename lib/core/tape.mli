@@ -68,7 +68,35 @@ val context : t -> int -> Peak_ir.Expr.source list -> float array
 
 val result : t -> int -> Peak_ir.Interp.result
 (** The interpreter's result at ordinal [k] (the class cache's, when the
-    trace declares the ordinal's class already seen). *)
+    trace declares the ordinal's class already seen).  Its arrays are
+    the reader's to keep: a shared tape's record, a class-cache entry or,
+    on a private tape, a copy of the interpreter's scratch made on this
+    read (once per ordinal).  Nothing later overwrites them; no reader
+    may mutate them. *)
+
+(** {1 Whole-pass reads}
+
+    The profile's [train] pass and an evaluation's [ref] pass
+    ({!Runner.pass_terms}) read every invocation once, each on a private
+    tape of its own, and keep nothing of an invocation past the next.
+    These two reads serve them without a copy or a name lookup. *)
+
+val lend : t -> int -> Peak_ir.Interp.result
+(** {!result} without the copy.  On a private tape an ordinal the class
+    cache does not hold is {e lent}: its arrays are the interpreter's
+    scratch, overwritten by the next ordinal's interpretation.  The
+    caller copies what it keeps past its next {!seek} and mutates
+    nothing.  On a shared tape this is {!result}. *)
+
+val context_into :
+  t -> int -> Peak_ir.Interp.source_handle array -> float array -> int -> unit
+(** [context_into t k sources dst off] writes the values of [sources] at
+    ordinal [k], after setup, to [dst.(off)], [dst.(off + 1)], …: what
+    {!context} returns, read through handles resolved once (see
+    {!Peak_ir.Interp.source_handle}), allocating nothing.  A source that
+    cannot be read raises what {!context} raises, in source order.
+    Private tapes only, before the ordinal is interpreted;
+    [Invalid_argument] on a shared tape. *)
 
 val payload : t -> int -> int
 (** Bytes of the modified input set at ordinal [k] after interpretation

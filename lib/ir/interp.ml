@@ -162,6 +162,63 @@ let get_pointer env p =
   | ps when env.pointer_targets.(ps) >= 0 -> env.scalar_names.(env.pointer_targets.(ps))
   | _ | (exception Not_found) -> unknown_pointer p
 
+(* ------------------------------------------------------------------ *)
+(* Handles                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A handle caches one (env, slot) pair as one immutable record behind
+   one mutable field: a reader loads the pair once and uses its slot
+   only if its env is the caller's, so a slot is never paired with
+   another env's tables.  The sentinel env is the [unresolved] record's
+   own and never reaches a caller. *)
+type binding = { b_env : env; b_slot : int }
+
+let unresolved = { b_env = empty_env (); b_slot = -1 }
+
+type handle = { h_name : string; mutable h_binding : binding }
+type array_handle = { a_name : string; mutable a_binding : binding }
+
+let handle name = { h_name = name; h_binding = unresolved }
+let array_handle name = { a_name = name; a_binding = unresolved }
+
+(* Slow paths, out of line: resolve against [env] and remember it. *)
+let bind_scalar h env =
+  let s = scalar_slot env h.h_name in
+  h.h_binding <- { b_env = env; b_slot = s };
+  s
+
+let find_scalar h env =
+  match Hashtbl.find env.scalar_slots h.h_name with
+  | s ->
+      h.h_binding <- { b_env = env; b_slot = s };
+      s
+  | exception Not_found -> unknown_scalar h.h_name
+
+let find_array h env =
+  match Hashtbl.find env.array_slots h.a_name with
+  | s ->
+      h.a_binding <- { b_env = env; b_slot = s };
+      s
+  | exception Not_found -> unknown_array h.a_name
+
+let[@inline] set_handle h env x =
+  let b = h.h_binding in
+  let s = if b.b_env == env then b.b_slot else bind_scalar h env in
+  env.scalar_vals.(s) <- x;
+  Bytes.set env.scalar_bound s '\001'
+
+let[@inline] get_handle h env =
+  let b = h.h_binding in
+  let s = if b.b_env == env then b.b_slot else find_scalar h env in
+  if Bytes.get env.scalar_bound s = '\000' then unknown_scalar h.h_name;
+  env.scalar_vals.(s)
+
+let[@inline] get_array_handle h env =
+  let b = h.a_binding in
+  let s = if b.b_env == env then b.b_slot else find_array h env in
+  if Bytes.get env.array_bound s = '\000' then unknown_array h.a_name;
+  env.array_vals.(s)
+
 let make_env (ts : Types.ts) =
   let env = empty_env () in
   List.iter (fun v -> set_scalar env v 0.0) ts.params;
@@ -340,6 +397,7 @@ type compiled = {
 type scratch = {
   sc_block_counts : int array;
   sc_accesses : int array;  (* per base slot *)
+  sc_lent : result;  (* the two counter arrays above, uncopied *)
   mutable sc_steps : int;
 }
 
@@ -471,9 +529,12 @@ let compile (cfg : Cfg.t) env =
   }
 
 let make_scratch cp =
+  let block_counts = Array.make (Array.length cp.cp_start) 0 in
+  let accesses = Array.make cp.cp_bases 0 in
   {
-    sc_block_counts = Array.make (Array.length cp.cp_start) 0;
-    sc_accesses = Array.make cp.cp_bases 0;
+    sc_block_counts = block_counts;
+    sc_accesses = accesses;
+    sc_lent = { block_counts; touches = accesses };
     sc_steps = 0;
   }
 
@@ -481,14 +542,23 @@ let make_scratch cp =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* An index is in range when [0 <= i < len] holds of the float itself:
+   converting first would read nan, infinities and anything past the
+   int range as an unspecified int (on amd64, 0 or a negative that
+   passes a signed check).  The message prints the floored index, as
+   an int while it is one. *)
+let[@inline] in_range i_float len = i_float >= 0.0 && i_float < float_of_int len
+
+let index_text i_float =
+  let f = floor i_float in
+  if Float.abs f < 0x1p62 then string_of_int (int_of_float f) else Printf.sprintf "%.0f" f
+
 (* All raising paths live out of line so the hot loop only allocates
    when an exception actually fires. *)
 let oob_index name i_float len context =
   raise
     (Out_of_bounds
-       (Printf.sprintf "%s[%d] out of [0,%d) in %s" name
-          (int_of_float (floor i_float))
-          len context))
+       (Printf.sprintf "%s[%s] out of [0,%d) in %s" name (index_text i_float) len context))
 
 let step_limit name max_steps =
   raise (Step_limit_exceeded (Printf.sprintf "%s: > %d block entries" name max_steps))
@@ -526,11 +596,10 @@ let run_compiled ?(max_steps = 10_000_000) cp sc =
         if Bytes.get env.array_bound a = '\000' then unknown_array env.array_names.(a);
         let arr = env.array_vals.(a) in
         let i_float = v.(i) in
-        let i = int_of_float i_float in
-        if i_float < 0.0 || i >= Array.length arr then
+        if not (in_range i_float (Array.length arr)) then
           oob_index env.array_names.(a) i_float (Array.length arr) "read";
         touches.(b) <- touches.(b) + 1;
-        v.(d) <- Array.unsafe_get arr i;
+        v.(d) <- Array.unsafe_get arr (int_of_float i_float);
         incr pc
     | Ideref (d, p, b) ->
         let target = env.pointer_targets.(p) in
@@ -544,11 +613,10 @@ let run_compiled ?(max_steps = 10_000_000) cp sc =
         if Bytes.get env.array_bound a = '\000' then unknown_array env.array_names.(a);
         let arr = env.array_vals.(a) in
         let i_float = v.(i) in
-        let i = int_of_float i_float in
-        if i_float < 0.0 || i >= Array.length arr then
+        if not (in_range i_float (Array.length arr)) then
           oob_index env.array_names.(a) i_float (Array.length arr) "write";
         touches.(b) <- touches.(b) + 1;
-        Array.unsafe_set arr i v.(x);
+        Array.unsafe_set arr (int_of_float i_float) v.(x);
         incr pc
     | Iptr_store (p, b, x) ->
         let target = env.pointer_targets.(p) in
@@ -632,6 +700,8 @@ let scratch_steps sc = sc.sc_steps
 let result_of_scratch sc =
   { block_counts = Array.copy sc.sc_block_counts; touches = Array.copy sc.sc_accesses }
 
+let lent_result sc = sc.sc_lent
+
 let run ?max_steps (cfg : Cfg.t) env =
   let cp = compile cfg env in
   let sc = make_scratch cp in
@@ -651,10 +721,9 @@ let rec eval env e =
   | Types.Index (a, sub) ->
       let i_float = eval env sub in
       let arr = get_array env a in
-      let i = int_of_float i_float in
-      if i_float < 0.0 || i >= Array.length arr then
+      if not (in_range i_float (Array.length arr)) then
         oob_index a i_float (Array.length arr) "read";
-      arr.(i)
+      arr.(int_of_float i_float)
   | Types.Deref p -> get_scalar env (deref_target env p)
   | Types.Unop (op, e) -> Expr.apply_unop op (eval env e)
   | Types.Binop (op, a, b) ->
@@ -676,3 +745,45 @@ let read_source env = function
   | Expr.Array_elem (a, None) ->
       raise (Out_of_bounds (Printf.sprintf "%s[non-constant] is not a context source" a))
   | Expr.Pointer_deref p -> get_scalar env (deref_target env p)
+
+(* A context source resolved like the handles above: each read looks up
+   no name.  Reads raise exactly what [read_source] raises. *)
+type pointer_handle = { p_name : string; mutable p_binding : binding }
+
+type source_handle =
+  | Src_scalar of handle
+  | Src_elem of array_handle * int
+  | Src_deref of pointer_handle
+  | Src_invalid of Expr.source
+
+let source_handle = function
+  | Expr.Scalar v -> Src_scalar (handle v)
+  | Expr.Array_elem (a, Some k) -> Src_elem (array_handle a, k)
+  | Expr.Pointer_deref p -> Src_deref { p_name = p; p_binding = unresolved }
+  | Expr.Array_elem (_, None) as src -> Src_invalid src
+
+let find_pointer h env =
+  match Hashtbl.find env.pointer_slots h.p_name with
+  | s ->
+      h.p_binding <- { b_env = env; b_slot = s };
+      s
+  | exception Not_found -> unknown_pointer h.p_name
+
+let read_source_into h env dst i =
+  match h with
+  | Src_scalar h -> dst.(i) <- get_handle h env
+  | Src_elem (h, k) ->
+      let arr = get_array_handle h env in
+      if k < 0 || k >= Array.length arr then
+        raise (Out_of_bounds (Printf.sprintf "%s[%d] (context read)" h.a_name k));
+      dst.(i) <- arr.(k)
+  | Src_deref h ->
+      let b = h.p_binding in
+      let ps = if b.b_env == env then b.b_slot else find_pointer h env in
+      let target = env.pointer_targets.(ps) in
+      if target < 0 then unknown_pointer h.p_name;
+      if Bytes.get env.scalar_bound target = '\000' then
+        unknown_scalar env.scalar_names.(target);
+      dst.(i) <- env.scalar_vals.(target)
+  | Src_invalid src -> dst.(i) <- read_source env src
+

@@ -38,7 +38,11 @@ val bases : Cfg.t -> string array
     known from the CFG alone, before anything runs. *)
 
 exception Out_of_bounds of string
-(** Raised on an array access outside the declared extent. *)
+(** Raised on an array access outside the declared extent.  A subscript
+    is checked as a float, [0 <= i < length], before it is truncated,
+    so nan, infinities and values past the int range raise too; the
+    message prints the floored subscript ([a[-1]], [a[nan]],
+    [a[5000000000000000000]]). *)
 
 exception Step_limit_exceeded of string
 
@@ -69,6 +73,59 @@ val read_source : env -> Expr.source -> float
 (** Current value of a context-variable source (scalar, constant-subscript
     array element, or pointer dereference). *)
 
+(** {1 Handles — names resolved once per environment}
+
+    The string-keyed accessors above hash the name on every call.  A
+    {e handle} resolves a name to its slot on first use in an
+    environment and keeps that (environment, slot) pair, so a trace's
+    per-invocation setup, or a whole-pass reader of context sources,
+    looks up no name after the first invocation.
+
+    Contract:
+    - The pair is one immutable value behind one mutable field.  A use
+      reads it once and takes its slot only when its environment is the
+      caller's; otherwise the handle resolves again against the caller's
+      environment.  So one handle used on two environments (or on an
+      environment and its {!copy_env}) reads and writes each one's own
+      slot, at the price of a lookup whenever the environment changes.
+    - A handle write to an undeclared name binds it, exactly as
+      {!set_scalar} does; a handle read raises what the string accessor
+      raises ({!Out_of_bounds} for an unknown or unbound name).
+    - A handle is mutable state.  Create it where its user is created —
+      inside the [trace dataset ~seed] function that builds a trace, not
+      at module top level — so that no two domains share one.  Sharing
+      would stay correct (each use checks its environment) but the
+      domains would keep evicting each other's pair. *)
+
+type handle
+(** A scalar name. *)
+
+val handle : string -> handle
+
+val set_handle : handle -> env -> float -> unit
+(** {!set_scalar} through a handle. *)
+
+val get_handle : handle -> env -> float
+(** {!get_scalar} through a handle. *)
+
+type array_handle
+(** An array name. *)
+
+val array_handle : string -> array_handle
+
+val get_array_handle : array_handle -> env -> float array
+(** {!get_array} through a handle. *)
+
+type source_handle
+(** A context-variable source ({!Expr.source}). *)
+
+val source_handle : Expr.source -> source_handle
+
+val read_source_into : source_handle -> env -> float array -> int -> unit
+(** [read_source_into h env dst i] stores {!read_source} of [h]'s source
+    in [dst.(i)], raising what {!read_source} raises; nothing is
+    allocated on the non-raising path. *)
+
 (** {1 Compiled execution — the zero-allocation hot path} *)
 
 type compiled
@@ -98,6 +155,12 @@ val scratch_steps : scratch -> int
 
 val result_of_scratch : scratch -> result
 (** Fresh {!result} snapshot of the scratch counters. *)
+
+val lent_result : scratch -> result
+(** The scratch counters themselves, as a {!result} whose arrays are the
+    scratch's own: the next {!run_compiled} on the scratch overwrites
+    them.  A reader that keeps counts past that, or could mutate them,
+    takes {!result_of_scratch} instead. *)
 
 val run : ?max_steps:int -> Cfg.t -> env -> result
 (** Compatibility one-shot: [compile] + [run_compiled] + snapshot.

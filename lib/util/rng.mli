@@ -4,7 +4,14 @@
     every experiment is reproducible from a single integer seed.  The
     generator is splitmix64, which is small, fast, and has no measurable
     bias for the statistical loads used here (noise injection, workload
-    context generation, search tie-breaking). *)
+    context generation, search tie-breaking).
+
+    The 64-bit state is kept unboxed, in place, so a draw allocates
+    nothing beyond a returned [float] or [int64] the caller boxes: the
+    noise draws of every rating, the per-invocation values a trace draws
+    at construction and the memory system's jitter all run through here.
+    A generator is mutable and not domain-safe: give each domain its own
+    ({!split} or {!copy}). *)
 
 type t
 (** Mutable generator state. *)

@@ -118,22 +118,23 @@ let apply ?length t (base : Trace.t) =
   (* init-owned scalars a warp targets must be restored before every
      setup, or a regime-B invocation would latch the warped value into
      every later regime-A invocation *)
+  let warps = List.map (fun w -> (w, Peak_ir.Interp.handle w.w_source)) t.warps in
   let saved = ref [] in
   let init env =
     base.Trace.init env;
-    saved := List.map (fun w -> (w.w_source, Peak_ir.Interp.get_scalar env w.w_source)) t.warps
+    saved := List.map (fun (_, h) -> (h, Peak_ir.Interp.get_handle h env)) warps
   in
   let setup i env =
-    List.iter (fun (name, v) -> Peak_ir.Interp.set_scalar env name v) !saved;
+    List.iter (fun (h, v) -> Peak_ir.Interp.set_handle h env v) !saved;
     let shifted, j = draw t i ~base_length in
     base.Trace.setup j env;
     if shifted then
       List.iter
-        (fun w ->
-          let v = Peak_ir.Interp.get_scalar env w.w_source in
-          Peak_ir.Interp.set_scalar env w.w_source
+        (fun (w, h) ->
+          let v = Peak_ir.Interp.get_handle h env in
+          Peak_ir.Interp.set_handle h env
             (if w.w_scale then v *. w.w_amount else v +. w.w_amount))
-        t.warps
+        warps
   in
   let class_of =
     match base.Trace.class_of with

@@ -45,10 +45,11 @@ let trace dataset ~seed =
     let rng = R.copy rng in
     Benchmark.fill_random rng (-1.0) 1.0 (Interp.get_array env "cc")
   in
+  let ido_h = Interp.handle "ido" and l1_h = Interp.handle "l1" in
   let setup i env =
     let ido, l1 = contexts.(i mod Array.length contexts) in
-    Interp.set_scalar env "ido" (float_of_int ido);
-    Interp.set_scalar env "l1" (float_of_int l1)
+    Interp.set_handle ido_h env (float_of_int ido);
+    Interp.set_handle l1_h env (float_of_int l1)
   in
   Trace.make ~name:"apsi" ~length ~init ~class_of:(fun i -> i mod Array.length contexts) setup
 

@@ -71,12 +71,15 @@ let trace dataset ~seed =
     Benchmark.fill_random rng 0.0 1.0 (Interp.get_array env "w");
     Interp.set_scalar env "numf1s" (float_of_int numf1s)
   in
+  let rho = Interp.handle "rho" and off = Interp.handle "off" in
+  let conv = Interp.handle "conv" and bus_v = Interp.handle "bus_v" in
+  let tds_v = Interp.handle "tds_v" in
   let setup i env =
-    Interp.set_scalar env "rho" rhos.(i);
-    Interp.set_scalar env "off" offs.(i);
-    Interp.set_scalar env "conv" convs.(i);
-    Interp.set_scalar env "bus_v" 0.9;
-    Interp.set_scalar env "tds_v" 0.05
+    Interp.set_handle rho env rhos.(i);
+    Interp.set_handle off env offs.(i);
+    Interp.set_handle conv env convs.(i);
+    Interp.set_handle bus_v env 0.9;
+    Interp.set_handle tds_v env 0.05
   in
   Trace.make ~name:"art" ~length ~init setup
 

@@ -52,9 +52,10 @@ let trace dataset ~seed =
     Benchmark.fill_random rng 0.0 1.0 (Interp.get_array env "tex");
     Interp.set_scalar env "size" (float_of_int tex_size)
   in
+  let u = Interp.handle "u" and wrap_repeat = Interp.handle "wrap_repeat" in
   let setup i env =
-    Interp.set_scalar env "u" us.(i);
-    Interp.set_scalar env "wrap_repeat" wraps.(i)
+    Interp.set_handle u env us.(i);
+    Interp.set_handle wrap_repeat env wraps.(i)
   in
   Trace.make ~name:"mesa" ~length ~init setup
 

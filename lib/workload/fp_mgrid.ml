@@ -67,7 +67,8 @@ let trace dataset ~seed =
     Benchmark.fill_random rng (-1.0) 1.0 (Interp.get_array env "u");
     Benchmark.fill_random rng (-1.0) 1.0 (Interp.get_array env "rhs")
   in
-  let setup i env = Interp.set_scalar env "n" (float_of_int (level_at ~length i)) in
+  let n = Interp.handle "n" in
+  let setup i env = Interp.set_handle n env (float_of_int (level_at ~length i)) in
   Trace.make ~name:"mgrid" ~length ~init ~class_of:(fun i -> level_at ~length i) setup
 
 let benchmark =

@@ -55,11 +55,12 @@ let trace dataset ~seed =
       (fun a -> Benchmark.fill_random rng (-1.0) 1.0 (Interp.get_array env a))
       [ "ar"; "ai"; "br"; "bi" ]
   in
+  let m_h = Interp.handle "m" and n_h = Interp.handle "n" and k_h = Interp.handle "k" in
   let setup i env =
     let m, n, k = contexts.(i mod Array.length contexts) in
-    Interp.set_scalar env "m" (float_of_int m);
-    Interp.set_scalar env "n" (float_of_int n);
-    Interp.set_scalar env "k" (float_of_int k)
+    Interp.set_handle m_h env (float_of_int m);
+    Interp.set_handle n_h env (float_of_int n);
+    Interp.set_handle k_h env (float_of_int k)
   in
   Trace.make ~name:"wupwise" ~length ~init
     ~class_of:(fun i -> i mod Array.length contexts)

@@ -87,11 +87,13 @@ let trace dataset ~seed =
     Array.iteri (fun i _ -> quadrant.(i) <- float_of_int (R.int rng 2)) quadrant
   in
   let budgets = Array.init length (fun _ -> float_of_int (R.int pre 64)) in
+  let i1 = Interp.handle "i1" and i2 = Interp.handle "i2" in
+  let limit = Interp.handle "limit" and budget = Interp.handle "budget" in
   let setup i env =
-    Interp.set_scalar env "i1" i1s.(i);
-    Interp.set_scalar env "i2" i2s.(i);
-    Interp.set_scalar env "limit" 48.0;
-    Interp.set_scalar env "budget" budgets.(i)
+    Interp.set_handle i1 env i1s.(i);
+    Interp.set_handle i2 env i2s.(i);
+    Interp.set_handle limit env 48.0;
+    Interp.set_handle budget env budgets.(i)
   in
   Trace.make ~name:"bzip2" ~length ~init setup
 

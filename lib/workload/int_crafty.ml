@@ -72,11 +72,13 @@ let trace dataset ~seed =
     Array.iteri (fun i _ -> dir.(i) <- [| 1.; -1.; 8.; -8.; 7.; -7.; 9.; -9. |].(i)) dir
   in
   let depths = Array.init length (fun _ -> float_of_int (R.int pre 12)) in
+  let square = Interp.handle "square" and board_off = Interp.handle "board_off" in
+  let enemy = Interp.handle "enemy" and depth = Interp.handle "depth" in
   let setup i env =
-    Interp.set_scalar env "square" squares.(i);
-    Interp.set_scalar env "board_off" boards.(i);
-    Interp.set_scalar env "enemy" enemies.(i);
-    Interp.set_scalar env "depth" depths.(i)
+    Interp.set_handle square env squares.(i);
+    Interp.set_handle board_off env boards.(i);
+    Interp.set_handle enemy env enemies.(i);
+    Interp.set_handle depth env depths.(i)
   in
   Trace.make ~name:"crafty" ~length ~init setup
 

@@ -75,14 +75,18 @@ let trace dataset ~seed =
     let prev = Interp.get_array env "prev" in
     Array.iteri (fun i _ -> prev.(i) <- float_of_int (R.int rng span)) prev
   in
+  let scan = Interp.handle "scan" and cur_match = Interp.handle "cur_match" in
+  let chain_length = Interp.handle "chain_length" and prev_length = Interp.handle "prev_length" in
+  let nice_match = Interp.handle "nice_match" and good_match = Interp.handle "good_match" in
+  let level = Interp.handle "level" in
   let setup i env =
-    Interp.set_scalar env "scan" scans.(i);
-    Interp.set_scalar env "cur_match" matches.(i);
-    Interp.set_scalar env "chain_length" chains.(i);
-    Interp.set_scalar env "prev_length" prevs.(i);
-    Interp.set_scalar env "nice_match" 32.0;
-    Interp.set_scalar env "good_match" 8.0;
-    Interp.set_scalar env "level" levels.(i)
+    Interp.set_handle scan env scans.(i);
+    Interp.set_handle cur_match env matches.(i);
+    Interp.set_handle chain_length env chains.(i);
+    Interp.set_handle prev_length env prevs.(i);
+    Interp.set_handle nice_match env 32.0;
+    Interp.set_handle good_match env 8.0;
+    Interp.set_handle level env levels.(i)
   in
   Trace.make ~name:"gzip" ~length ~init setup
 

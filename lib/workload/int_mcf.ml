@@ -65,13 +65,16 @@ let trace dataset ~seed =
     let ident = Interp.get_array env "ident" in
     Array.iteri (fun i _ -> ident.(i) <- (if R.float rng < 0.7 then 1.0 else 0.0)) ident
   in
+  let group_size = Interp.handle "group_size" and group_off = Interp.handle "group_off" in
+  let phase = Interp.handle "phase" in
+  let cost = Interp.array_handle "cost" and ident = Interp.array_handle "ident" in
   let setup i env =
-    Interp.set_scalar env "group_size" sizes.(i);
-    Interp.set_scalar env "group_off" offs.(i);
-    Interp.set_scalar env "phase" (if i mod 3 = 0 then 1.0 else 0.0);
+    Interp.set_handle group_size env sizes.(i);
+    Interp.set_handle group_off env offs.(i);
+    Interp.set_handle phase env (if i mod 3 = 0 then 1.0 else 0.0);
     (* the simplex step reprices a few arcs between invocations *)
-    let cost = Interp.get_array env "cost" in
-    let ident = Interp.get_array env "ident" in
+    let cost = Interp.get_array_handle cost env in
+    let ident = Interp.get_array_handle ident env in
     for _ = 1 to 16 do
       let j = R.int mutation arcs in
       cost.(j) <- R.float mutation *. 10.0;

@@ -51,9 +51,10 @@ let trace dataset ~seed =
     Benchmark.fill_random rng 0.0 1000.0 (Interp.get_array env "xs");
     Benchmark.fill_random rng 0.0 1000.0 (Interp.get_array env "ys")
   in
+  let nterms = Interp.handle "nterms" and off = Interp.handle "off" in
   let setup i env =
-    Interp.set_scalar env "nterms" sizes.(i);
-    Interp.set_scalar env "off" offs.(i)
+    Interp.set_handle nterms env sizes.(i);
+    Interp.set_handle off env offs.(i)
   in
   Trace.make ~name:"twolf" ~length ~init setup
 

@@ -60,9 +60,10 @@ let trace dataset ~seed =
     Array.iteri (fun i _ -> next.(i) <- float_of_int (R.int rng chunks)) next;
     Benchmark.fill_random rng 0.0 1000.0 (Interp.get_array env "chunk_size")
   in
+  let handle = Interp.handle "handle" and status = Interp.handle "status" in
   let setup i env =
-    Interp.set_scalar env "handle" handles.(i);
-    Interp.set_scalar env "status" statuses.(i)
+    Interp.set_handle handle env handles.(i);
+    Interp.set_handle status env statuses.(i)
   in
   Trace.make ~name:"vortex" ~length ~init setup
 

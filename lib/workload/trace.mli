@@ -13,6 +13,15 @@
     therefore diverge; a consumer that needs the stream again builds a
     fresh trace from the same seed, which replays it bit-identically.
 
+    A setup runs once per invocation, in every whole pass (the profile's
+    [train] pass, an evaluation's [ref] pass), so it looks no name up:
+    it writes, and reads, through {!Peak_ir.Interp.handle}s that the
+    [trace dataset ~seed] function creates along with the setup closure,
+    each resolved once per environment.  A handle is mutable, so none
+    lives at module top level, where two domains building traces would
+    share it.  The string-keyed accessors stay for [init], which runs
+    once per pass.
+
     [classes]: when the trace knows that two invocations present exactly
     the same workload (same context, hence same block counts), it labels
     them with the same class id, enabling the execution harness to reuse

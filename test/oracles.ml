@@ -217,8 +217,9 @@ let ts_pass_cycles ?(seed = 5) (benchmark : Benchmark.t) machine config dataset 
 (* The string-keyed hashtable interpreter the compiled interpreter
    replaced, kept as the executable specification it is differentially
    tested against (test_compile.ml).  It carries the same two
-   accounting rules as the compiled path: negative fractional indices
-   raise, and touches are numbered by [Interp.bases] — a touch of a base
+   accounting rules as the compiled path: a subscript is range-checked
+   as a float (negative fractions, nan, infinities and values past the
+   int range raise), and touches are numbered by [Interp.bases] — a touch of a base
    outside that table fails the oracle, so the table is checked along
    with the counts. *)
 module Reference_interp = struct
@@ -259,14 +260,19 @@ module Reference_interp = struct
   let touch accesses base =
     Hashtbl.replace accesses base (1 + Option.value ~default:0 (Hashtbl.find_opt accesses base))
 
+  (* the subscript is checked as a float before it is truncated; the
+     message floors it, printed as an int while it is one *)
   let array_ref env accesses a i_float context =
     let arr = get_array env a in
-    let i = int_of_float i_float in
-    if i_float < 0.0 || i >= Array.length arr then
-      oob "%s[%d] out of [0,%d) in %s" a (int_of_float (floor i_float)) (Array.length arr)
-        context;
+    if not (i_float >= 0.0 && i_float < float_of_int (Array.length arr)) then begin
+      let f = floor i_float in
+      oob "%s[%s] out of [0,%d) in %s" a
+        (if Float.abs f < 0x1p62 then string_of_int (int_of_float f)
+         else Printf.sprintf "%.0f" f)
+        (Array.length arr) context
+    end;
     touch accesses a;
-    (arr, i)
+    (arr, int_of_float i_float)
 
   let rec eval_counted env accesses e =
     match e with
@@ -420,4 +426,154 @@ module List_memsys = struct
           acc +. cost
         end)
       0.0 accesses
+end
+
+(* The boxed splitmix64 [Peak_util.Rng] replaced: the state is an
+   [int64] record field, so every draw boxes a fresh state.  The unboxed
+   generator must yield the same stream under every operation
+   (test_util.ml). *)
+module Reference_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+  let create ~seed = { state = Int64.of_int seed }
+  let copy t = { state = t.state }
+
+  let int64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t =
+    let s = int64 t in
+    { state = s }
+
+  let float t =
+    let bits = Int64.shift_right_logical (int64 t) 11 in
+    Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+    let v = Int64.to_int (int64 t) land max_int in
+    v mod bound
+
+  let bool t = Int64.logand (int64 t) 1L = 1L
+
+  let gaussian t ~mean ~stddev =
+    let rec draw () =
+      let u1 = float t in
+      if u1 <= 1e-300 then draw ()
+      else
+        let u2 = float t in
+        let r = sqrt (-2.0 *. log u1) in
+        mean +. (stddev *. r *. cos (2.0 *. Float.pi *. u2))
+    in
+    draw ()
+
+  let exponential t ~rate =
+    if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
+    let rec draw () =
+      let u = float t in
+      if u <= 1e-300 then draw () else -.log u /. rate
+    in
+    draw ()
+
+  let shuffle t a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+end
+
+(* The profile run [Profile.run] replaced: every invocation builds a
+   [Runner.sample] (copied counts, a context array per invocation), and
+   the context table rebuilds each pruned key through lists and
+   re-inserts a tuple.  The streaming profile must equal it in every
+   field, the order of [stats] included (test_core.ml). *)
+module Reference_profile = struct
+  open Peak_workload
+  open Profile
+
+  let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
+    let o3 = Version.compile machine tsec.Tsection.features Optconfig.o3 in
+    let runner = Runner.create ~seed ~context_switch_rate:0.0 tsec trace machine in
+    let verdict = Context_analysis.analyze tsec ~mutated_arrays:trace.Trace.mutated_arrays in
+    let candidate_sources =
+      match verdict with
+      | Context_analysis.Applicable { sources; _ } -> sources
+      | Context_analysis.Not_applicable _ -> []
+    in
+    let n = trace.Trace.length in
+    let sample_here =
+      let marks = Array.make n false in
+      let order = Array.init n (fun i -> i) in
+      Peak_util.Rng.shuffle (Peak_util.Rng.create ~seed:(seed * 31)) order;
+      for j = 0 to min n max_count_samples - 1 do
+        marks.(order.(j)) <- true
+      done;
+      marks
+    in
+    let samples = ref [] in
+    let ctx_values = Array.make n [||] in
+    let times = Array.make n 0.0 in
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      let s = Runner.step ~context:candidate_sources runner o3 in
+      times.(i) <- s.Runner.time;
+      total := !total +. s.Runner.time;
+      ctx_values.(i) <- s.Runner.context;
+      if sample_here.(i) then samples := s.Runner.counts :: !samples
+    done;
+    let count_samples = Array.of_list (List.rev !samples) in
+    let components = Component_analysis.analyze ~samples:count_samples in
+    let context =
+      match verdict with
+      | Context_analysis.Not_applicable reason -> Cbr_no reason
+      | Context_analysis.Applicable { sources; runtime_constant_arrays } ->
+          let n_src = List.length sources in
+          let keep = Array.make n_src false in
+          if n > 0 then
+            for j = 0 to n_src - 1 do
+              let first = ctx_values.(0).(j) in
+              for i = 1 to n - 1 do
+                if ctx_values.(i).(j) <> first then keep.(j) <- true
+              done
+            done;
+          let kept_sources = List.filteri (fun j _ -> keep.(j)) sources in
+          let pruned = List.filteri (fun j _ -> not keep.(j)) sources in
+          let tbl = Hashtbl.create 16 in
+          for i = 0 to n - 1 do
+            let key =
+              Array.of_list (List.filteri (fun j _ -> keep.(j)) (Array.to_list ctx_values.(i)))
+            in
+            let count, time = Option.value ~default:(0, 0.0) (Hashtbl.find_opt tbl key) in
+            Hashtbl.replace tbl key (count + 1, time +. times.(i))
+          done;
+          let stats =
+            Hashtbl.fold
+              (fun values (count, time) acc ->
+                { values; count; time_share = time /. Float.max 1.0 !total } :: acc)
+              tbl []
+            |> List.sort (fun a b -> compare b.time_share a.time_share)
+          in
+          Cbr_ok { sources = kept_sources; stats; runtime_constant_arrays; pruned }
+    in
+    let avg_component_counts = Component_analysis.avg_counts components ~samples:count_samples in
+    let block_weights = o3.Version.block_cycles in
+    {
+      n_invocations = n;
+      avg_invocation_cycles = !total /. float_of_int (max 1 n);
+      context;
+      components;
+      count_samples;
+      impure_calls = Tsection.has_impure_calls tsec;
+      block_weights;
+      avg_component_counts;
+      dominant_component = Component_analysis.dominant components ~weights:block_weights;
+      ts_pass_cycles = !total;
+    }
 end

@@ -4,7 +4,9 @@
    the file `bench/main.exe alloc` gates on too: the steady-state
    compiled interpreter loop allocates nothing (sub-byte amortized), a
    warm rating-summary scratch stays within a small constant, and so do
-   a runner step, a replayed runner step and a version compile.  The
+   a runner step, a replayed runner step, a version compile and an
+   invocation of the two whole passes (the profile's train pass, an
+   evaluation's ref pass).  The
    assertions only run on the native backend — bytecode boxes every
    float and would trip any budget. *)
 
@@ -142,6 +144,58 @@ let test_runner_replay_budget () =
     check_budget ~meter:"runner_replay" "a replayed Runner.step" per_call
   end
 
+(* Amortized bytes per invocation of one whole pass: [pass ()] builds
+   what must not be metered and returns the pass with its invocation
+   count.  Minimum of three passes, as above, each starting and ending
+   on a minor collection: OCaml 5.1's [Gc.allocated_bytes] counts the
+   current minor cycle's words at an eighth. *)
+let bytes_per_invocation pass =
+  let once () =
+    let run, invocations = pass () in
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    run ();
+    Gc.minor ();
+    let b1 = Gc.allocated_bytes () in
+    (b1 -. b0) /. float_of_int invocations
+  in
+  Float.min (once ()) (Float.min (once ()) (once ()))
+
+(* The profile's train pass reads lent counters, resolves its context
+   sources once and streams their values into flat arrays: MESA, whose
+   every invocation is a context of its own, is the context table's
+   worst case.  The trace is built before metering. *)
+let test_profile_step_budget () =
+  if native then begin
+    let open Peak_workload in
+    let b = Option.get (Registry.by_name "MESA") in
+    let tsec = Peak.Tsection.make b.Benchmark.ts in
+    let per_call =
+      bytes_per_invocation (fun () ->
+          let trace = b.Benchmark.trace Trace.Train ~seed:3 in
+          ( (fun () -> ignore (Peak.Profile.run tsec trace Peak_machine.Machine.sparc2)),
+            trace.Trace.length ))
+    in
+    check_budget ~meter:"profile_step" "a Profile.run invocation" per_call
+  end
+
+(* Evaluation's ref pass reads lent counters and a setup that writes
+   through handles; GZIP's pass is the longest.  Trace construction is
+   metered too: the summary builds its own trace. *)
+let test_summary_step_budget () =
+  if native then begin
+    let open Peak_workload in
+    let b = Option.get (Registry.by_name "GZIP") in
+    let invocations = (b.Benchmark.trace Trace.Ref ~seed:5).Trace.length in
+    let per_call =
+      bytes_per_invocation (fun () ->
+          ( (fun () ->
+              ignore (Peak.Driver.pass_summary b Peak_machine.Machine.pentium4 Trace.Ref)),
+            invocations ))
+    in
+    check_budget ~meter:"summary_step" "a Driver.pass_summary invocation" per_call
+  end
+
 (* Compiling a version tests resolved flags, never names: a compile of
    ART's section under -O3 allocates its per-block workloads and little
    else. *)
@@ -172,5 +226,7 @@ let suites =
           test_runner_replay_budget;
         Alcotest.test_case "version compile stays within budget" `Quick
           test_version_compile_budget;
+        Alcotest.test_case "profile pass stays within budget" `Quick test_profile_step_budget;
+        Alcotest.test_case "summary pass stays within budget" `Quick test_summary_step_budget;
       ] );
   ]

@@ -130,6 +130,9 @@ let gen_leaf ~undeclared_weight =
          reaches past the array extent so subscripts go out of bounds *)
       (4, map (fun k -> B.c (float_of_int k /. 2.0)) (int_range (-6) 20));
       (1, map B.c (oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity ]));
+      (* subscripts past the int range: truncating them first would
+         read element 0 or a negative int that passes a signed check *)
+      (1, map B.c (oneofl [ 1e19; -1e19; 5e18; 0x1p62; 0x1p63 ]));
       (1, return (B.c shared_const));
       (6, map B.v (oneofl scalars));
       (undeclared_weight, map B.v (oneofl undeclared));
@@ -352,8 +355,40 @@ let test_oob_message () =
       B.[ "r" := idx "a" (c (-0.9)) ];
       B.[ "r" := idx "a" (c 8.0) ];
       B.[ store "b" (c (-1.0)) (c 0.0) ];
+      B.[ "r" := idx "a" (c Float.nan) ];
+      B.[ "r" := idx "a" (c Float.infinity) ];
+      B.[ "r" := idx "a" (c Float.neg_infinity) ];
+      B.[ "r" := idx "a" (c 1e19) ];
+      B.[ "r" := idx "a" (c 5e18) ];
+      B.[ "r" := idx "a" (c 0x1p62) ];
+      B.[ store "b" (c Float.nan) (c 9.0) ];
+      B.[ store "b" (c 5e18) (c 9.0) ];
       B.[ "r" := v "u" + c 1.0 ];
       B.[ ptr_set "p" "w"; "r" := deref "p" ];
+    ]
+
+(* The message names the subscript it rejected: a nan must not read as
+   element 0, nor an index past the int range as a wrapped int.  The
+   uncounted evaluator raises the same error. *)
+let test_oob_names_index () =
+  List.iter
+    (fun (k, text) ->
+      let expected = Printf.sprintf "a[%s] out of [0,%d) in read" text array_len in
+      (match (compiled_outcome (make_ts B.[ "r" := idx "a" (c k) ]) 0).run with
+      | Oob m -> Alcotest.(check string) "compiled message" expected m
+      | _ -> Alcotest.failf "a[%s]: expected Out_of_bounds" text);
+      let env = Interp.make_env (make_ts []) in
+      match Interp.eval env (Types.Index ("a", Types.Const k)) with
+      | _ -> Alcotest.failf "eval a[%s]: expected Out_of_bounds" text
+      | exception Interp.Out_of_bounds m -> Alcotest.(check string) "eval message" expected m)
+    [
+      (Float.nan, "nan");
+      (Float.infinity, "inf");
+      (Float.neg_infinity, "-inf");
+      (-0.5, "-1");
+      (1e19, "10000000000000000000");
+      (5e18, "5000000000000000000");
+      (0x1p62, "4611686018427387904");
     ]
 
 let qcheck_cases =
@@ -372,5 +407,7 @@ let suites =
       @ [
           Alcotest.test_case "step-limit message parity" `Quick test_step_limit_message;
           Alcotest.test_case "out-of-bounds message parity" `Quick test_oob_message;
+          Alcotest.test_case "out-of-range subscripts name their index" `Quick
+            test_oob_names_index;
         ] );
   ]

@@ -1042,6 +1042,68 @@ let test_consistency_cbr_multi_context_rows () =
       Alcotest.(check bool) "context labelled" true (row.Consistency.context_label <> None))
     rows
 
+(* The streaming profile against the per-sample one it replaced, on
+   every benchmark, both machines and two seeds: every field bit for bit
+   (marshalled without sharing, so class-cached samples the reference
+   shares compare by content), the order of [stats] included. *)
+let test_profile_matches_reference () =
+  let bytes p = Marshal.to_string (p : Profile.t) [ Marshal.No_sharing ] in
+  List.iter
+    (fun (b : Benchmark.t) ->
+      let tsec = Tsection.make b.Benchmark.ts in
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun seed ->
+              let trace () = b.Benchmark.trace Trace.Train ~seed in
+              let got = Profile.run ~seed:(seed + 1) tsec (trace ()) machine in
+              let want = Oracles.Reference_profile.run ~seed:(seed + 1) tsec (trace ()) machine in
+              let tag =
+                Printf.sprintf "%s/%s/seed %d" b.Benchmark.name machine.Machine.name seed
+              in
+              Alcotest.(check (option int)) (tag ^ ": contexts") (Profile.n_contexts want)
+                (Profile.n_contexts got);
+              Alcotest.(check bool) (tag ^ ": identical profile") true (bytes got = bytes want))
+            [ 3; 11 ])
+        [ Machine.pentium4; Machine.sparc2 ])
+    Registry.all
+
+(* Where contexts tie on time share, the order of [stats] is the
+   context table's own: on a noise-free machine every invocation of
+   this section costs the same, so the 150 contexts below (each seen
+   twice, except the signed zeros and nans that compare equal) tie by
+   the dozen.  The streaming profile must order them, and keep the last
+   invocation's bits for equal vectors, exactly as the reference does. *)
+let test_profile_ties_match_reference () =
+  let ts =
+    B.ts ~name:"ties" ~params:[ "x"; "y"; "z" ] ~locals:[ "t" ]
+      B.[ if_ (v "x" + v "y" + v "z" > c 1e9) [ "t" := c 1.0 ] [ "t" := c 1.0 ] ]
+  in
+  let tsec = Tsection.make ts in
+  let machine = { Machine.sparc2 with Machine.noise_sigma = 0.0; spike_probability = 0.0 } in
+  let special = [| 0.0; -0.0; Float.nan; -.Float.nan; 1.0; -0.0; 0.0 |] in
+  let length = 300 in
+  let trace () =
+    let x = Interp.handle "x" and y = Interp.handle "y" and z = Interp.handle "z" in
+    Trace.make ~name:"ties" ~length (fun i env ->
+        Interp.set_handle x env
+          (if i mod 20 = 0 then special.(i / 20 mod Array.length special)
+           else float_of_int (i mod 150));
+        (* a constant, pruned from the context *)
+        Interp.set_handle y env 5.0;
+        Interp.set_handle z env (float_of_int (i mod 3)))
+  in
+  let bytes p = Marshal.to_string (p : Profile.t) [ Marshal.No_sharing ] in
+  let got = Profile.run tsec (trace ()) machine in
+  let want = Oracles.Reference_profile.run tsec (trace ()) machine in
+  (match got.Profile.context with
+  | Profile.Cbr_ok { stats; pruned; _ } ->
+      Alcotest.(check int) "y pruned" 1 (List.length pruned);
+      let shares = List.sort_uniq Float.compare (List.map (fun s -> s.Profile.time_share) stats) in
+      Alcotest.(check bool) "contexts tie" true (List.length shares < List.length stats / 4)
+  | Profile.Cbr_no r -> Alcotest.failf "CBR inapplicable: %s" r);
+  Alcotest.(check bool) "identical profile" true (bytes got = bytes want)
+
 let suites =
   [
     ( "core.context_analysis",
@@ -1072,6 +1134,10 @@ let suites =
         Alcotest.test_case "wupwise contexts" `Quick test_profile_wupwise_two_contexts;
         Alcotest.test_case "impure calls" `Quick test_profile_no_impure_calls;
         Alcotest.test_case "invocation cost" `Quick test_profile_avg_invocation_positive;
+        Alcotest.test_case "equals the per-sample reference" `Quick
+          test_profile_matches_reference;
+        Alcotest.test_case "ties order as the reference's table" `Quick
+          test_profile_ties_match_reference;
       ] );
     ( "core.method",
       [

@@ -597,6 +597,73 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_trip_count; prop_const_fold_preserves_eval; prop_interp_deterministic ]
 
+(* ---------------- handles ---------------- *)
+
+let handle_ts =
+  B.ts ~name:"handles" ~params:[ "x" ] ~arrays:[ ("a", 4) ] ~pointers:[ ("p", "x") ]
+    ~locals:[] []
+
+(* One handle on two environments reads and writes each one's own slot:
+   the second env interns its names in another order, so a slot kept
+   from the first would land on the wrong name. *)
+let test_handle_two_envs () =
+  let e1 = Interp.make_env handle_ts in
+  let e2 = Interp.make_env handle_ts in
+  Interp.set_scalar e2 "zz" 1.0;
+  Interp.set_scalar e2 "yy" 2.0;
+  let h = Interp.handle "yy" in
+  Interp.set_handle h e1 10.0;
+  Interp.set_handle h e2 20.0;
+  Interp.set_handle h e1 11.0;
+  Alcotest.(check (float 0.0)) "env 1" 11.0 (Interp.get_scalar e1 "yy");
+  Alcotest.(check (float 0.0)) "env 2" 20.0 (Interp.get_scalar e2 "yy");
+  Alcotest.(check (float 0.0)) "env 2 neighbour untouched" 1.0 (Interp.get_scalar e2 "zz");
+  Alcotest.(check (float 0.0)) "read env 2" 20.0 (Interp.get_handle h e2);
+  (* a copy is another environment: writes through the handle stay in it *)
+  let e3 = Interp.copy_env e1 in
+  Interp.set_handle h e3 33.0;
+  Alcotest.(check (float 0.0)) "copy written" 33.0 (Interp.get_scalar e3 "yy");
+  Alcotest.(check (float 0.0)) "original kept" 11.0 (Interp.get_handle h e1);
+  let a = Interp.array_handle "a" in
+  (Interp.get_array_handle a e1).(2) <- 5.0;
+  Alcotest.(check (float 0.0)) "array of env 2 untouched" 0.0 (Interp.get_array_handle a e2).(2);
+  Alcotest.(check (float 0.0)) "array of env 1" 5.0 (Interp.get_array e1 "a").(2)
+
+(* A handle write to an undeclared name binds it, as [set_scalar] does;
+   a handle read of an unknown name raises what [get_scalar] raises. *)
+let test_handle_binds_undeclared () =
+  let env = Interp.make_env handle_ts in
+  let h = Interp.handle "fresh" in
+  Alcotest.check_raises "unbound read" (Interp.Out_of_bounds "unknown scalar fresh") (fun () ->
+      ignore (Interp.get_handle h env));
+  Interp.set_handle h env 4.5;
+  Alcotest.(check (float 0.0)) "bound by the write" 4.5 (Interp.get_scalar env "fresh");
+  Alcotest.(check (float 0.0)) "read back" 4.5 (Interp.get_handle h env);
+  Alcotest.check_raises "unknown array" (Interp.Out_of_bounds "unknown array b") (fun () ->
+      ignore (Interp.get_array_handle (Interp.array_handle "b") env))
+
+(* A source handle reads what [read_source] reads, raising alike. *)
+let test_source_handles () =
+  let env = Interp.make_env handle_ts in
+  Interp.set_scalar env "x" 7.0;
+  (Interp.get_array env "a").(1) <- 3.0;
+  let dst = Array.make 4 0.0 in
+  List.iteri
+    (fun i src ->
+      Interp.read_source_into (Interp.source_handle src) env dst i;
+      Alcotest.(check (float 0.0)) "value" (Interp.read_source env src) dst.(i))
+    Expr.[ Scalar "x"; Array_elem ("a", Some 1); Pointer_deref "p" ];
+  List.iter
+    (fun src ->
+      let expected = try ignore (Interp.read_source env src); "" with Interp.Out_of_bounds m -> m in
+      let got =
+        try Interp.read_source_into (Interp.source_handle src) env dst 0; ""
+        with Interp.Out_of_bounds m -> m
+      in
+      Alcotest.(check string) "same error" expected got;
+      Alcotest.(check bool) "raised" true (got <> ""))
+    Expr.[ Scalar "nope"; Array_elem ("a", Some 4); Array_elem ("a", None); Pointer_deref "q" ]
+
 let suites =
   [
     ( "ir.expr",
@@ -622,6 +689,9 @@ let suites =
         Alcotest.test_case "copy env isolation" `Quick test_copy_env_isolation;
         Alcotest.test_case "control conditions" `Quick test_control_conditions;
         Alcotest.test_case "loop depth marking" `Quick test_loop_depth_marking;
+        Alcotest.test_case "one handle on two envs" `Quick test_handle_two_envs;
+        Alcotest.test_case "handle binds an undeclared name" `Quick test_handle_binds_undeclared;
+        Alcotest.test_case "source handles read like read_source" `Quick test_source_handles;
       ] );
     ( "ir.pointsto",
       [

@@ -445,6 +445,31 @@ let test_extension_failure_pooled () =
         (match e with Interp.Out_of_bounds _ -> true | _ -> false))
     outcomes
 
+(* A private runner interprets into one reused scratch and lends it to
+   whole-pass readers; a sample's counts must still be its own: kept
+   across 100 more steps (each through a lent step, then a copying
+   one), they read as they did.  ART declares no classes, so every step
+   runs the interpreter; MGRID's class cache must not be overwritten
+   either. *)
+let test_kept_counts_survive_lending () =
+  List.iter
+    (fun name ->
+      let b = bench name in
+      let tsec = Tsection.make b.Benchmark.ts in
+      let machine = Machine.sparc2 in
+      let runner = Runner.create ~seed:3 tsec (b.Benchmark.trace Trace.Train ~seed:3) machine in
+      let o3 = Version.compile machine tsec.Tsection.features Optconfig.o3 in
+      let kept = (Runner.step runner o3).Runner.counts in
+      let snapshot = Array.copy kept in
+      for i = 1 to 100 do
+        if i mod 2 = 0 then ignore (Runner.step runner o3)
+        else ignore (Runner.step_lent runner o3 ~context:[||] [||] 0)
+      done;
+      Alcotest.(check (array int)) (name ^ ": kept counts unchanged") snapshot kept;
+      Alcotest.(check bool) (name ^ ": later steps moved the scratch") true
+        (name <> "ART" || Runner.lent_counts runner != kept))
+    [ "ART"; "MGRID" ]
+
 let suites =
   [
     ( "core.tape",
@@ -463,5 +488,7 @@ let suites =
           test_extension_failure_pooled;
         Alcotest.test_case "a failing context read fails its reader only" `Quick
           test_context_read_failure;
+        Alcotest.test_case "kept counts survive lent steps" `Quick
+          test_kept_counts_survive_lending;
       ] );
   ]

@@ -620,9 +620,80 @@ let prop_linear_relation_detects_planted =
       | Some (a, b) -> abs_float (a -. alpha) < 1e-4 && abs_float (b -. beta) < 1e-2
       | None -> false)
 
+(* The unboxed generator against the boxed one it replaced: from a
+   random seed, a random sequence of draws, copies and splits yields the
+   same values bit for bit on both. *)
+type rng_op =
+  | Op_int64
+  | Op_float
+  | Op_int of int
+  | Op_bool
+  | Op_gaussian of float * float
+  | Op_exponential of float
+  | Op_shuffle of int
+  | Op_copy
+  | Op_split of bool  (** continue on the child when [true] *)
+
+let gen_rng_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, return Op_int64);
+      (3, return Op_float);
+      (3, map (fun b -> Op_int b) (oneof [ int_range 1 100; int_range 1 max_int ]));
+      (2, return Op_bool);
+      (2, map2 (fun m s -> Op_gaussian (m, s)) (float_range (-5.0) 5.0) (float_range 0.0 3.0));
+      (2, map (fun r -> Op_exponential r) (float_range 0.01 10.0));
+      (1, map (fun n -> Op_shuffle n) (int_range 0 12));
+      (1, return Op_copy);
+      (1, map (fun c -> Op_split c) bool);
+    ]
+
+let prop_rng_matches_reference =
+  let module R = Oracles.Reference_rng in
+  QCheck.Test.make ~name:"Rng streams equal the boxed reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (seed, ops) -> Printf.sprintf "seed %d, %d ops" seed (List.length ops))
+        Gen.(pair (oneof [ int; int_range (-3) 3 ]) (list_size (int_range 1 60) gen_rng_op)))
+    (fun (seed, ops) ->
+      let bits = Int64.bits_of_float in
+      let rec go a r = function
+        | [] -> Rng.int64 a = R.int64 r
+        | op :: rest ->
+            let same, a, r =
+              match op with
+              | Op_int64 -> (Rng.int64 a = R.int64 r, a, r)
+              | Op_float -> (bits (Rng.float a) = bits (R.float r), a, r)
+              | Op_int b -> (Rng.int a b = R.int r b, a, r)
+              | Op_bool -> (Rng.bool a = R.bool r, a, r)
+              | Op_gaussian (mean, stddev) ->
+                  (bits (Rng.gaussian a ~mean ~stddev) = bits (R.gaussian r ~mean ~stddev), a, r)
+              | Op_exponential rate ->
+                  (bits (Rng.exponential a ~rate) = bits (R.exponential r ~rate), a, r)
+              | Op_shuffle n ->
+                  let x = Array.init n Fun.id and y = Array.init n Fun.id in
+                  Rng.shuffle a x;
+                  R.shuffle r y;
+                  (x = y, a, r)
+              | Op_copy ->
+                  (* the copy and the original go on identically *)
+                  let a' = Rng.copy a and r' = R.copy r in
+                  (Rng.int64 a = R.int64 r, a', r')
+              | Op_split child ->
+                  let a' = Rng.split a and r' = R.split r in
+                  let parents = Rng.int64 a = R.int64 r in
+                  let children = Rng.int64 a' = R.int64 r' in
+                  (parents && children, (if child then a' else a), if child then r' else r)
+            in
+            same && go a r rest
+      in
+      go (Rng.create ~seed) (R.create ~seed) ops)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_rng_matches_reference;
       prop_mean_bounded;
       prop_variance_nonneg;
       prop_outliers_subset;
