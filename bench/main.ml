@@ -1040,10 +1040,10 @@ let micro () =
         fun r -> ignore (Runner.step ~context:sources r version) );
       ( "execution + counters (MBR)",
         fun r ->
-          let s = Runner.step r version in
+          ignore (Runner.step r version);
           Runner.charge_overhead r
-            (Mbr.counter_cost_per_entry *. float_of_int (Array.fold_left ( + ) 0 s.Runner.counts))
-      );
+            (Mbr.counter_cost_per_entry
+            *. float_of_int (Array.fold_left ( + ) 0 (Runner.counts r))) );
       ( "save/precondition/restore/2x run (RBR improved)",
         fun r -> ignore (Runner.step_pair r ~base:version ~experimental:version) );
       ( "save/restore/2x run (RBR basic)",
@@ -1282,13 +1282,17 @@ let alloc_exp () =
   in
   (* runner_step: one full simulated invocation (interpret + cost model)
      of ART — a trace without a class_of cache, so the compiled
-     interpreter actually runs every step *)
+     interpreter actually runs every step — metered between minor
+     collections, exactly *)
   let b = bench "ART" in
   let tsec = Tsection.make b.Benchmark.ts in
   let trace = b.Benchmark.trace Trace.Train ~seed:3 in
   let runner = Runner.create ~seed:3 tsec trace Machine.sparc2 in
   let version = Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3 in
-  let runner_step = bytes_per_call (fun () -> Runner.step runner version) 2000 in
+  let runner_step =
+    bytes_per_invocation (fun () ->
+        ((fun () -> for _ = 1 to 2000 do ignore (Runner.step runner version) done), 2000))
+  in
   (* runner_replay: the same step on an ordinal a shared tape has
      already recorded — a rating runner following another through the
      session tape reads the recorded result instead of interpreting *)

@@ -16,23 +16,6 @@ open Peak_compiler
 open Peak_workload
 open Peak
 
-let find_benchmark name =
-  match Registry.by_name name with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown benchmark %s (try: %s)" name
-           (String.concat ", " (List.map (fun b -> b.Benchmark.name) Registry.all)))
-
-let find_machine name =
-  match Machine.by_name name with
-  | Some m -> Ok m
-  | None -> (
-      match String.lowercase_ascii name with
-      | "sparc2" | "sparc" -> Ok Machine.sparc2
-      | "pentium4" | "p4" -> Ok Machine.pentium4
-      | _ -> Error (Printf.sprintf "unknown machine %s (sparc2 | pentium4)" name))
-
 (* Every subcommand body runs under this guard: any expected failure —
    unknown names, inapplicable rating methods, a forced method that finds
    no usable samples (CBR on a context that never recurs), store
@@ -53,24 +36,6 @@ let die msg =
   exit 1
 
 let or_die = function Ok v -> v | Error msg -> die msg
-
-let parse_dataset name =
-  match String.lowercase_ascii name with
-  | "train" -> Ok Trace.Train
-  | "ref" -> Ok Trace.Ref
-  | other -> Error ("unknown dataset " ^ other ^ " (train | ref)")
-
-(* "auto" is left to Driver.tune, which resolves it from its own
-   profiling pass (with §3 fallback) instead of profiling twice. *)
-let parse_method name =
-  if String.lowercase_ascii name = "auto" then Ok None
-  else
-    match Method.of_string name with
-    | Some m -> Ok (Some m)
-    | None ->
-        Error
-          (Printf.sprintf "unknown rating method %s (valid: auto, %s)" name
-             (String.concat ", " Method.keys))
 
 (* --faults SPEC: "default" enables the canonical 5% crash / 2%
    wrong-output plan (seeded by the experiment seed unless SPEC pins
@@ -313,52 +278,49 @@ let flags_cmd =
 let analyze_cmd =
   let run name machine_name seed =
     guard @@ fun () ->
-    match (find_benchmark name, find_machine machine_name) with
-    | Error e, _ | _, Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok b, Ok machine ->
-        let tsec = Tsection.make b.Benchmark.ts in
-        let trace = b.Benchmark.trace Trace.Train ~seed in
-        Printf.printf "Tuning section %s of %s on %s\n" b.Benchmark.ts_name b.Benchmark.name
-          machine.Machine.name;
-        Printf.printf "  CFG blocks: %d   max pressure: %d   save/restore: %d bytes\n"
-          (Peak_ir.Cfg.n_blocks tsec.Tsection.cfg)
-          tsec.Tsection.features.Peak_ir.Features.max_pressure
-          (Tsection.save_restore_bytes tsec);
-        let profile = Profile.run ~seed tsec trace machine in
-        let advice = Consultant.advise tsec profile in
-        Printf.printf "  Invocations per train run: %d   mean invocation: %.0f cycles\n"
-          profile.Profile.n_invocations profile.Profile.avg_invocation_cycles;
-        (match profile.Profile.context with
-        | Profile.Cbr_ok { sources; stats; runtime_constant_arrays; pruned } ->
-            Printf.printf "  Context variables: [%s]"
-              (String.concat "; "
-                 (List.map
-                    (function
-                      | Peak_ir.Expr.Scalar v -> v
-                      | Peak_ir.Expr.Array_elem (a, Some k) -> Printf.sprintf "%s[%d]" a k
-                      | Peak_ir.Expr.Array_elem (a, None) -> a ^ "[*]"
-                      | Peak_ir.Expr.Pointer_deref p -> "*" ^ p)
-                    sources));
-            if pruned <> [] then
-              Printf.printf "  (+%d pruned run-time constants)" (List.length pruned);
-            if runtime_constant_arrays <> [] then
-              Printf.printf "  (run-time-constant arrays: %s)"
-                (String.concat ", " runtime_constant_arrays);
-            Printf.printf "\n  Distinct contexts: %d" (List.length stats);
-            (match stats with
-            | s :: _ -> Printf.printf "   dominant share: %.0f%%\n" (s.Profile.time_share *. 100.0)
-            | [] -> print_newline ())
-        | Profile.Cbr_no reason -> Printf.printf "  CBR inapplicable: %s\n" reason);
-        Printf.printf "  MBR components: %d\n"
-          (Component_analysis.n_components profile.Profile.components);
-        Printf.printf "  Applicable methods: %s\n"
-          (String.concat ", " (List.map Method.name advice.Consultant.applicable));
-        List.iter (fun r -> Printf.printf "    - %s\n" r) advice.Consultant.reasons;
-        Printf.printf "  Consultant's choice: %s (paper: %s)\n"
-          (Method.name advice.Consultant.chosen)
-          b.Benchmark.paper_method
+    let b = or_die (Registry.of_string name) in
+    let machine = or_die (Machine.of_string machine_name) in
+    let tsec = Tsection.make b.Benchmark.ts in
+    let trace = b.Benchmark.trace Trace.Train ~seed in
+    Printf.printf "Tuning section %s of %s on %s\n" b.Benchmark.ts_name b.Benchmark.name
+      machine.Machine.name;
+    Printf.printf "  CFG blocks: %d   max pressure: %d   save/restore: %d bytes\n"
+      (Peak_ir.Cfg.n_blocks tsec.Tsection.cfg)
+      tsec.Tsection.features.Peak_ir.Features.max_pressure
+      (Tsection.save_restore_bytes tsec);
+    let profile = Profile.run ~seed tsec trace machine in
+    let advice = Consultant.advise tsec profile in
+    Printf.printf "  Invocations per train run: %d   mean invocation: %.0f cycles\n"
+      profile.Profile.n_invocations profile.Profile.avg_invocation_cycles;
+    (match profile.Profile.context with
+    | Profile.Cbr_ok { sources; stats; runtime_constant_arrays; pruned } ->
+        Printf.printf "  Context variables: [%s]"
+          (String.concat "; "
+             (List.map
+                (function
+                  | Peak_ir.Expr.Scalar v -> v
+                  | Peak_ir.Expr.Array_elem (a, Some k) -> Printf.sprintf "%s[%d]" a k
+                  | Peak_ir.Expr.Array_elem (a, None) -> a ^ "[*]"
+                  | Peak_ir.Expr.Pointer_deref p -> "*" ^ p)
+                sources));
+        if pruned <> [] then
+          Printf.printf "  (+%d pruned run-time constants)" (List.length pruned);
+        if runtime_constant_arrays <> [] then
+          Printf.printf "  (run-time-constant arrays: %s)"
+            (String.concat ", " runtime_constant_arrays);
+        Printf.printf "\n  Distinct contexts: %d" (List.length stats);
+        (match stats with
+        | s :: _ -> Printf.printf "   dominant share: %.0f%%\n" (s.Profile.time_share *. 100.0)
+        | [] -> print_newline ())
+    | Profile.Cbr_no reason -> Printf.printf "  CBR inapplicable: %s\n" reason);
+    Printf.printf "  MBR components: %d\n"
+      (Component_analysis.n_components profile.Profile.components);
+    Printf.printf "  Applicable methods: %s\n"
+      (String.concat ", " (List.map Method.name advice.Consultant.applicable));
+    List.iter (fun r -> Printf.printf "    - %s\n" r) advice.Consultant.reasons;
+    Printf.printf "  Consultant's choice: %s (paper: %s)\n"
+      (Method.name advice.Consultant.chosen)
+      b.Benchmark.paper_method
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Profile a benchmark and report the consultant's advice.")
@@ -412,11 +374,11 @@ let tune_cmd =
   let run name machine_name method_name dataset_name search_name seed store_dir warm
       kb_path cap faults_spec retries trace metrics =
     guard @@ fun () ->
-    let b = or_die (find_benchmark name) in
-    let machine = or_die (find_machine machine_name) in
-    let dataset = or_die (parse_dataset dataset_name) in
+    let b = or_die (Registry.of_string name) in
+    let machine = or_die (Machine.of_string machine_name) in
+    let dataset = or_die (Trace.dataset_of_string dataset_name) in
     let search = or_die (Strategy.of_string search_name) in
-    let method_ = or_die (parse_method method_name) in
+    let method_ = or_die (Method.request_of_string method_name) in
     let rating_params = rating_params_of_cap cap in
     let faults = or_die (parse_faults ~seed faults_spec) in
     if retries < 0 then die "--fault-retries must be >= 0";
@@ -498,12 +460,12 @@ let suite_cmd =
     let benchmarks =
       match names with
       | [] -> Registry.figure7
-      | names -> List.map (fun name -> or_die (find_benchmark name)) names
+      | names -> List.map (fun name -> or_die (Registry.of_string name)) names
     in
-    let machine = or_die (find_machine machine_name) in
-    let dataset = or_die (parse_dataset dataset_name) in
+    let machine = or_die (Machine.of_string machine_name) in
+    let dataset = or_die (Trace.dataset_of_string dataset_name) in
     let search = or_die (Strategy.of_string search_name) in
-    let method_ = or_die (parse_method method_name) in
+    let method_ = or_die (Method.request_of_string method_name) in
     let rating_params = rating_params_of_cap cap in
     let faults = or_die (parse_faults ~seed faults_spec) in
     if retries < 0 then die "--fault-retries must be >= 0";
@@ -565,30 +527,27 @@ let suite_cmd =
 let consistency_cmd =
   let run name machine_name seed =
     guard @@ fun () ->
-    match (find_benchmark name, find_machine machine_name) with
-    | Error e, _ | _, Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok b, Ok machine ->
-        let rows = Consistency.measure ~seed ~n_ratings:20 b machine in
-        let t =
-          Table.create
-            ~header:[ "Tuning Section"; "Approach"; "w=10"; "w=20"; "w=40"; "w=80"; "w=160" ]
-            ()
-        in
-        List.iter
-          (fun (row : Consistency.row) ->
-            Table.add_row t
-              ((match row.Consistency.context_label with
-               | Some l -> Printf.sprintf "%s(%s)" b.Benchmark.ts_name l
-               | None -> b.Benchmark.ts_name)
-               :: Method.name row.Consistency.method_used
-               :: List.map
-                    (fun (c : Consistency.cell) ->
-                      Printf.sprintf "%.2f(%.2f)" c.Consistency.mean_x100 c.Consistency.stddev_x100)
-                    row.Consistency.cells))
-          rows;
-        Table.print t
+    let b = or_die (Registry.of_string name) in
+    let machine = or_die (Machine.of_string machine_name) in
+    let rows = Consistency.measure ~seed ~n_ratings:20 b machine in
+    let t =
+      Table.create
+        ~header:[ "Tuning Section"; "Approach"; "w=10"; "w=20"; "w=40"; "w=80"; "w=160" ]
+        ()
+    in
+    List.iter
+      (fun (row : Consistency.row) ->
+        Table.add_row t
+          ((match row.Consistency.context_label with
+           | Some l -> Printf.sprintf "%s(%s)" b.Benchmark.ts_name l
+           | None -> b.Benchmark.ts_name)
+           :: Method.name row.Consistency.method_used
+           :: List.map
+                (fun (c : Consistency.cell) ->
+                  Printf.sprintf "%.2f(%.2f)" c.Consistency.mean_x100 c.Consistency.stddev_x100)
+                row.Consistency.cells))
+      rows;
+    Table.print t
   in
   Cmd.v
     (Cmd.info "consistency" ~doc:"Measure rating consistency (one Table 1 row).")
@@ -597,16 +556,13 @@ let consistency_cmd =
 let instrument_cmd =
   let run name machine_name seed =
     guard @@ fun () ->
-    match (find_benchmark name, find_machine machine_name) with
-    | Error e, _ | _, Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok b, Ok machine ->
-        let tsec = Tsection.make b.Benchmark.ts in
-        let trace = b.Benchmark.trace Trace.Train ~seed in
-        let profile = Profile.run ~seed tsec trace machine in
-        let advice = Consultant.advise tsec profile in
-        print_string (Instrument.render tsec profile advice)
+    let b = or_die (Registry.of_string name) in
+    let machine = or_die (Machine.of_string machine_name) in
+    let tsec = Tsection.make b.Benchmark.ts in
+    let trace = b.Benchmark.trace Trace.Train ~seed in
+    let profile = Profile.run ~seed tsec trace machine in
+    let advice = Consultant.advise tsec profile in
+    print_string (Instrument.render tsec profile advice)
   in
   Cmd.v
     (Cmd.info "instrument"
@@ -622,14 +578,10 @@ let show_cmd =
   in
   let run name optimize =
     guard @@ fun () ->
-    match find_benchmark name with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok b ->
-        let ts = b.Benchmark.ts in
-        let ts = if optimize then Peak_ir.Transform.optimize ts else ts in
-        print_string (Peak_ir.Pretty.ts_to_c ts)
+    let b = or_die (Registry.of_string name) in
+    let ts = b.Benchmark.ts in
+    let ts = if optimize then Peak_ir.Transform.optimize ts else ts in
+    print_string (Peak_ir.Pretty.ts_to_c ts)
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print a benchmark's tuning section as pseudo-C.")
@@ -833,34 +785,8 @@ let session_resume_cmd =
   let run dir id jobs =
     guard @@ fun () ->
     if jobs < 1 then die "jobs must be >= 1";
-    let info = or_die (Peak_store.Session.load_info ~dir ~id) in
-    let m = info.Peak_store.Session.info_meta in
-    let b = or_die (find_benchmark m.Peak_store.Codec.m_benchmark) in
-    let machine = or_die (find_machine m.Peak_store.Codec.m_machine) in
-    let dataset = or_die (parse_dataset m.Peak_store.Codec.m_dataset) in
-    let search = or_die (Strategy.of_string m.Peak_store.Codec.m_search) in
-    let method_ = or_die (parse_method m.Peak_store.Codec.m_method) in
-    let seed = m.Peak_store.Codec.m_seed in
-    let threshold = m.Peak_store.Codec.m_threshold in
-    let rating_params =
-      match Rating.params_of_signature m.Peak_store.Codec.m_params with
-      | Some p -> p
-      | None -> die ("session has unreadable rating parameters: " ^ m.Peak_store.Codec.m_params)
-    in
-    (* a fault-injected session resumes under the same plan, rebuilt
-       from its stored spec — the quarantine decisions then replay *)
-    let faults =
-      match m.Peak_store.Codec.m_faults with
-      | "-" -> None
-      | spec -> (
-          match Peak_sim.Fault.of_string spec with
-          | Ok plan -> Some plan
-          | Error e -> die ("session has an unreadable fault plan: " ^ e))
-    in
-    let meta =
-      Driver.session_meta ?method_ ~strategy:search ~rating_params ~seed ~threshold ?faults b machine
-        dataset
-    in
+    let meta = (or_die (Peak_store.Session.load_info ~dir ~id)).Peak_store.Session.info_meta in
+    let a = or_die (Driver.session_args meta) in
     let session = or_die (Peak_store.Session.open_ ~dir ~meta ()) in
     Printf.printf "Resuming session %s (%d stored ratings)\n%!" id
       (Peak_store.Session.loaded_events session);
@@ -868,14 +794,16 @@ let session_resume_cmd =
       ~finally:(fun () -> Peak_store.Session.close session)
       (fun () ->
         let tune pool =
-          Driver.tune ~seed ~strategy:search ~rating_params ~threshold ?method_ ?pool ~store:session
-            ?faults b machine dataset
+          Driver.tune ~seed:a.Driver.sa_seed ~strategy:a.Driver.sa_strategy
+            ~rating_params:a.Driver.sa_params ~threshold:a.Driver.sa_threshold
+            ?method_:a.Driver.sa_method ?pool ~store:session ?faults:a.Driver.sa_faults
+            a.Driver.sa_benchmark a.Driver.sa_machine a.Driver.sa_dataset
         in
         let r =
           if jobs > 1 then Pool.run ~domains:jobs (fun pool -> tune (Some pool))
           else tune None
         in
-        print_result machine r)
+        print_result a.Driver.sa_machine r)
   in
   Cmd.v
     (Cmd.info "resume"
@@ -1288,8 +1216,8 @@ let kb_recommend_cmd =
   in
   let run path name machine_name k top exclude_self =
     guard @@ fun () ->
-    let b = or_die (find_benchmark name) in
-    let machine = or_die (find_machine machine_name) in
+    let b = or_die (Registry.of_string name) in
+    let machine = or_die (Machine.of_string machine_name) in
     let kb = or_die (Peak_store.Kb.load path) in
     let exclude = if exclude_self then Some b.Benchmark.name else None in
     match

@@ -86,6 +86,11 @@ one_line_error "forced CBR on BZIP2" "target context" \
   "$BIN" tune BZIP2 -m sparc2 -r cbr --search be
 one_line_error "bogus strategy" staged "$BIN" tune ART -m pentium4 -s bogus
 one_line_error "bogus kb subcommand" build "$BIN" kb bogus
+for cmd in analyze show consistency instrument; do
+  one_line_error "$cmd of an unknown benchmark" "unknown benchmark NOPE" "$BIN" $cmd NOPE
+done
+one_line_error "unknown machine" "unknown machine vax" "$BIN" tune ART -m vax
+one_line_error "unknown dataset" "unknown dataset big" "$BIN" tune ART -d big
 
 # interrupt SIGNAL PID SESSION_DIR: signal PID once the session's
 # journal holds 64 lines (it flushes every 32 appends), wait for PID

@@ -33,8 +33,6 @@ type t = {
   machine : Peak_machine.Machine.t;
   window : int;
   compile_latency : int;
-  stale_threshold : float;
-  two_sided : bool;
   candidates : Optconfig.t list;
   context_sources : Peak_ir.Expr.source list;
   versions : (Optconfig.t, Version.t) Hashtbl.t;
@@ -76,9 +74,11 @@ type stats = {
   p99_invocation_cycles : float;
 }
 
-let create ?(seed = 17) ?(window = 12) ?(compile_latency = 25) ?(stale_threshold = 0.10)
-    ?(two_sided = false) tsec trace machine ~candidates =
-  if Float.is_nan stale_threshold then invalid_arg "Adaptive.create: stale_threshold is NaN";
+(* The least relative regression of a recent window against its
+   baseline that counts as stale. *)
+let stale_threshold = 0.10
+
+let create ?(seed = 17) ?(window = 12) ?(compile_latency = 25) tsec trace machine ~candidates =
   let context_sources =
     match Context_analysis.analyze tsec ~mutated_arrays:trace.Trace.mutated_arrays with
     | Context_analysis.Applicable { sources; _ } -> sources
@@ -90,8 +90,6 @@ let create ?(seed = 17) ?(window = 12) ?(compile_latency = 25) ?(stale_threshold
     machine;
     window;
     compile_latency;
-    stale_threshold;
-    two_sided;
     candidates;
     context_sources;
     versions = Hashtbl.create 16;
@@ -120,6 +118,7 @@ let version t config =
       Hashtbl.add t.versions config v;
       v
 
+(* [key] is the runner's lent context: a new slot keeps a copy. *)
 let slot (t : t) now key =
   match Hashtbl.find_opt t.slots key with
   | Some s -> s
@@ -141,10 +140,8 @@ let slot (t : t) now key =
           stale_at = 0;
         }
       in
-      Hashtbl.add t.slots key s;
+      Hashtbl.add t.slots (Array.copy key) s;
       s
-
-let detection_enabled t = Float.is_finite t.stale_threshold && t.stale_threshold > 0.0
 
 let freeze_baseline (s : slot) w =
   s.baseline_mean <- Stats.Welford.mean w;
@@ -214,7 +211,7 @@ let choose_for (t : t) now (s : slot) =
    of sample against ordinal) counts as confirmation too, so ramps that
    have not yet lifted the whole window past the threshold still
    confirm a Suspect verdict. *)
-let window_regressed (t : t) (s : slot) =
+let window_regressed (s : slot) =
   let n = s.recent_n in
   let m = Stats.mean (Array.sub s.recent 0 n) in
   let v = Stats.variance (Array.sub s.recent 0 n) in
@@ -222,35 +219,15 @@ let window_regressed (t : t) (s : slot) =
     Stats.significantly_less ~mean1:s.baseline_mean ~var1:s.baseline_var ~n1:s.baseline_n
       ~mean2:m ~var2:v ~n2:n
   in
-  let excess = m > s.baseline_mean *. (1.0 +. t.stale_threshold) in
+  let excess = m > s.baseline_mean *. (1.0 +. stale_threshold) in
   let trend =
     lazy
       (let xs = Array.init n float_of_int in
        Regression.pearson xs (Array.sub s.recent 0 n) > 0.6)
   in
-  (* Downward mirror, consulted only in two-sided mode (so the default
-     one-sided path computes bit-identically): the baseline credibly
-     {e above} the window plus a negative excess means the workload got
-     cheaper — the incumbent's rating is stale in the other direction,
-     and a leaner configuration may now win.  A falling trend confirms
-     a Suspect verdict the same way a rising one does upward. *)
-  let credible_down () =
-    Stats.significantly_greater ~mean1:s.baseline_mean ~var1:s.baseline_var
-      ~n1:s.baseline_n ~mean2:m ~var2:v ~n2:n
-  in
-  let excess_down () = m < s.baseline_mean *. (1.0 -. t.stale_threshold) in
-  let trend_down () =
-    let xs = Array.init n float_of_int in
-    Regression.pearson xs (Array.sub s.recent 0 n) < -0.6
-  in
-  let down ~fresh =
-    t.two_sided
-    && excess_down ()
-    && (credible_down () || ((not fresh) && trend_down ()))
-  in
   match s.phase with
-  | Fresh -> (credible && excess) || down ~fresh:true
-  | Suspect -> (credible && excess) || (excess && Lazy.force trend) || down ~fresh:false
+  | Fresh -> credible && excess
+  | Suspect -> (credible && excess) || (excess && Lazy.force trend)
   | Retuning -> false
 
 (* A stale verdict: re-open exploration for this context only.  The
@@ -284,11 +261,11 @@ let observe_best (t : t) now (s : slot) sample =
   Stats.Welford.add s.best_stats sample;
   if Stats.Welford.count s.best_stats >= t.window && s.baseline_n = 0 then
     freeze_baseline s s.best_stats
-  else if detection_enabled t && s.baseline_n > 0 && s.phase <> Retuning then begin
+  else if s.baseline_n > 0 && s.phase <> Retuning then begin
     s.recent.(s.recent_n) <- sample;
     s.recent_n <- s.recent_n + 1;
     if s.recent_n >= Array.length s.recent then begin
-      let regressed = window_regressed t s in
+      let regressed = window_regressed s in
       (match (s.phase, regressed) with
       | Fresh, true -> s.phase <- Suspect
       | Suspect, true -> go_stale t now s
@@ -307,7 +284,7 @@ let run (t : t) ~invocations =
     let bucket = ref `Best in
     let chosen_slot = ref None in
     let chosen_version = ref o3_version in
-    let sample =
+    let time =
       Runner.step_choose ~context:t.context_sources t.runner (fun key ->
           let s = slot t now key in
           chosen_slot := Some s;
@@ -320,14 +297,14 @@ let run (t : t) ~invocations =
     in
     (* record the (noisy) measurement in the right bucket *)
     (match (!chosen_slot, !bucket) with
-    | Some s, `Best -> observe_best t now s sample.Runner.time
+    | Some s, `Best -> observe_best t now s time
     | Some s, `Experimental _ -> (
         match s.experimental with
-        | Some (_, w) -> Stats.Welford.add w sample.Runner.time
+        | Some (_, w) -> Stats.Welford.add w time
         | None -> ())
     | None, _ -> ());
     (* noise-free accounting for the comparison *)
-    let counts = sample.Runner.counts in
+    let counts = Runner.counts t.runner in
     let cycles v = Version.invocation_cycles v ~counts in
     let spent = cycles !chosen_version in
     if t.ncosts = Array.length t.costs then begin

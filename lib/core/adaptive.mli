@@ -79,8 +79,6 @@ val create :
   ?seed:int ->
   ?window:int ->
   ?compile_latency:int ->
-  ?stale_threshold:float ->
-  ?two_sided:bool ->
   Tsection.t ->
   Peak_workload.Trace.t ->
   Peak_machine.Machine.t ->
@@ -93,22 +91,12 @@ val create :
     compilation).  [candidates] are explored in order, per context, with
     -O3 as the initial best.
 
-    [stale_threshold] (default 0.10) is the minimum relative regression
-    of a context's recent window against its rating-time baseline for a
-    staleness verdict; the window must also be statistically credibly
-    worse (one-sided Welch at 97.5%), and the verdict needs two
-    consecutive regressed windows (Fresh → Suspect → Stale), so
-    measurement noise does not trigger spurious re-tuning.  A
-    non-finite or nonpositive threshold disables detection.
-
-    [two_sided] (default [false]) additionally detects {e downward}
-    shifts — the recent window credibly {e below} the baseline (Welch
-    [significantly_greater] on the baseline side) by more than
-    [stale_threshold], confirmed in Suspect by a falling trend — so a
-    workload that gets cheaper also re-tunes toward a leaner
-    configuration.  The default one-sided path is bit-identical to
-    engines built before this option existed.
-    @raise Invalid_argument if [stale_threshold] is NaN. *)
+    A staleness verdict needs a context's recent window to regress
+    against its rating-time baseline by more than 10%, and to be
+    statistically credibly worse (one-sided Welch at 97.5%), in two
+    consecutive windows (Fresh → Suspect → Stale), so measurement noise
+    does not trigger spurious re-tuning.  Only upward shifts are
+    detected: a workload that gets cheaper keeps its tuned versions. *)
 
 val run : t -> invocations:int -> stats
 (** Drive the application for the given number of invocations.  [run]

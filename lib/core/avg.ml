@@ -14,10 +14,10 @@ let rate ?(params = Rating.default_params) runner version =
   while !result = None do
     let added = ref 0 in
     while !added < params.Rating.window && !consumed < params.Rating.max_invocations do
-      let s = Runner.step runner version in
+      let time = Runner.step runner version in
       incr consumed;
       incr added;
-      samples := s.Runner.time :: !samples
+      samples := time :: !samples
     done;
     (match Rating.summarize ~params !samples with
     | Rating.Summary { eval; var; kept; converged } ->

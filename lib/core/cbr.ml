@@ -17,11 +17,11 @@ let rate ?(params = Rating.default_params) runner ~sources ~target version =
     (* gather one window's worth of matching invocations *)
     let matched = ref 0 in
     while !matched < params.Rating.window && !consumed < params.Rating.max_invocations do
-      let s = Runner.step ~context:sources runner version in
+      let time = Runner.step ~context:sources runner version in
       incr consumed;
-      if s.Runner.context = target then begin
+      if Runner.context runner = target then begin
         incr matched;
-        samples := s.Runner.time :: !samples
+        samples := time :: !samples
       end
     done;
     (match Rating.summarize_into scratch ~params !samples with
@@ -53,27 +53,3 @@ let rate ?(params = Rating.default_params) runner ~sources ~target version =
                   !consumed)))
   done;
   Option.get !result
-
-(** Rating per context: the adaptive-scenario variant that reports every
-    context's EVAL.  Contexts are identified by their value vectors. *)
-let rate_all_contexts ?(params = Rating.default_params) runner ~sources version =
-  let by_context = Hashtbl.create 8 in
-  let consumed = ref 0 in
-  let scratch = Rating.make_scratch () in
-  while !consumed < params.Rating.max_invocations do
-    let s = Runner.step ~context:sources runner version in
-    incr consumed;
-    let existing = Option.value ~default:[] (Hashtbl.find_opt by_context s.Runner.context) in
-    Hashtbl.replace by_context s.Runner.context (s.Runner.time :: existing)
-  done;
-  Hashtbl.fold
-    (fun ctx times acc ->
-      match Rating.summarize_into scratch ~params times with
-      | Rating.Insufficient _ ->
-          (* a context observed once cannot be rated; reporting it with a
-             NaN EVAL would poison the adaptive engine's winner table *)
-          acc
-      | Rating.Summary { eval; var; kept; converged } ->
-          (ctx, { Rating.eval; var; samples = kept; invocations = !consumed; converged })
-          :: acc)
-    by_context []

@@ -17,12 +17,3 @@ val rate :
     @raise Rating.No_samples if no invocation matched the target context
     within [max_invocations] — a silent NaN rating would otherwise be
     cached and poison the search. *)
-
-val rate_all_contexts :
-  ?params:Rating.params ->
-  Runner.t ->
-  sources:Peak_ir.Expr.source list ->
-  Peak_compiler.Version.t ->
-  (float array * Rating.t) list
-(** The adaptive-scenario variant: one rating per context observed while
-    consuming up to [max_invocations] invocations. *)

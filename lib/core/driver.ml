@@ -88,6 +88,55 @@ let session_meta ?method_ ?(strategy = Strategy.Ie) ?(rating_params = Rating.def
     m_faults = (match faults with Some p -> Peak_sim.Fault.to_string p | None -> "-");
   }
 
+type session_args = {
+  sa_benchmark : Benchmark.t;
+  sa_machine : Machine.t;
+  sa_dataset : Trace.dataset;
+  sa_strategy : Strategy.t;
+  sa_method : Method.t option;
+  sa_params : Rating.params;
+  sa_threshold : float;
+  sa_seed : int;
+  sa_start : Optconfig.t;
+  sa_faults : Peak_sim.Fault.t option;
+}
+
+let session_args (m : Peak_store.Codec.session_meta) =
+  let ( let* ) = Result.bind in
+  let* sa_benchmark = Registry.of_string m.Peak_store.Codec.m_benchmark in
+  let* sa_machine = Machine.of_string m.Peak_store.Codec.m_machine in
+  let* sa_dataset = Trace.dataset_of_string m.Peak_store.Codec.m_dataset in
+  let* sa_strategy = Strategy.of_string m.Peak_store.Codec.m_search in
+  let* sa_method = Method.request_of_string m.Peak_store.Codec.m_method in
+  let* sa_params =
+    Option.to_result
+      ~none:("session has unreadable rating parameters: " ^ m.Peak_store.Codec.m_params)
+      (Rating.params_of_signature m.Peak_store.Codec.m_params)
+  in
+  (* a fault-injected session resumes under the same plan, rebuilt from
+     its stored spec — the quarantine decisions then replay *)
+  let* sa_faults =
+    match m.Peak_store.Codec.m_faults with
+    | "-" -> Ok None
+    | spec -> (
+        match Peak_sim.Fault.of_string spec with
+        | Ok plan -> Ok (Some plan)
+        | Error e -> Error ("session has an unreadable fault plan: " ^ e))
+  in
+  Ok
+    {
+      sa_benchmark;
+      sa_machine;
+      sa_dataset;
+      sa_strategy;
+      sa_method;
+      sa_params;
+      sa_threshold = m.Peak_store.Codec.m_threshold;
+      sa_seed = m.Peak_store.Codec.m_seed;
+      sa_start = m.Peak_store.Codec.m_start;
+      sa_faults;
+    }
+
 (* ------------------------------------------------------------------ *)
 (* The rating engine                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -354,7 +403,7 @@ let rating_hooks env prepared eval_cache mname : Search.relative * Search.rate_m
           List.iter2 (fun (_, c) e -> Hashtbl.replace eval_cache c e) missing evals;
           let eval_base = Hashtbl.find eval_cache base in
           List.map (fun c -> Hashtbl.find eval_cache c /. eval_base) candidates
-    | Method.Relative { rate; _ } ->
+    | Method.Relative rate ->
         fun ~base candidates ->
           let vb = version env base in
           (* every job of the batch runs the base version too *)

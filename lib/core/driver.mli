@@ -105,6 +105,28 @@ val session_meta :
     caller passes to {!Peak_store.Session.open_} before tuning with
     [?store].  Defaults mirror {!tune}'s. *)
 
+type session_args = {
+  sa_benchmark : Peak_workload.Benchmark.t;
+  sa_machine : Peak_machine.Machine.t;
+  sa_dataset : Peak_workload.Trace.dataset;
+  sa_strategy : Strategy.t;
+  sa_method : Method.t option;  (** [None]: auto. *)
+  sa_params : Rating.params;
+  sa_threshold : float;
+  sa_seed : int;
+  sa_start : Peak_compiler.Optconfig.t;
+  sa_faults : Peak_sim.Fault.t option;
+}
+(** The arguments of a {!session_meta} (and {!tune}) call. *)
+
+val session_args : Peak_store.Codec.session_meta -> (session_args, string) Stdlib.result
+(** Decode stored metadata into the arguments that produced it: passing
+    them back to {!session_meta} yields the same record.  This is the
+    one recipe by which the CLI's [session resume] and the daemon's
+    resume rebuild a session, so both resume bit-identically.  The error
+    is a one-line message naming the unreadable field (an unknown name,
+    rating parameters or a fault plan that do not parse). *)
+
 val tune :
   ?seed:int ->
   ?strategy:Strategy.t ->

@@ -30,17 +30,18 @@ let rate ?(params = Rating.default_params) ?(mode = Avg) runner ~components
   let result = ref None in
   while !result = None do
     while !n_collected < !target && !consumed < params.Rating.max_invocations do
-      let s = Runner.step runner version in
+      let time = Runner.step runner version in
+      let block_counts = Runner.counts runner in
       incr consumed;
       incr n_collected;
-      let counted = List.fold_left (fun acc b -> acc + s.Runner.counts.(b)) 0 reps in
+      let counted = List.fold_left (fun acc b -> acc + block_counts.(b)) 0 reps in
       Runner.charge_overhead runner (counter_cost_per_entry *. float_of_int counted);
-      times := s.Runner.time :: !times;
+      times := time :: !times;
       (* Dominant mode is the paper's rule (a): valid when one component
          consumes ~all the time, so the regression collapses to that
          component's count plus the constant — which also sidesteps the
          collinearity of a deep loop nest's count polynomials. *)
-      let full = Component_analysis.counts components s.Runner.counts in
+      let full = Component_analysis.counts components block_counts in
       let row =
         match mode with
         | Avg -> full

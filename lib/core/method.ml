@@ -25,203 +25,108 @@ let of_string s =
 let names = List.map name all
 let keys = List.map key all
 
+let request_of_string s =
+  if String.lowercase_ascii s = "auto" then Ok None
+  else
+    match of_string s with
+    | Some m -> Ok (Some m)
+    | None ->
+        Error
+          (Printf.sprintf "unknown rating method %s (valid: auto, %s)" s
+             (String.concat ", " keys))
+
 let default_max_contexts = 4
 let default_max_components = 5
 
 type prepared =
   | Absolute of (Runner.t -> Peak_compiler.Version.t -> Rating.t)
-  | Relative of {
-      rate : Runner.t -> base:Peak_compiler.Version.t -> Peak_compiler.Version.t -> Rating.t;
-      rate_many :
-        Runner.t -> base:Peak_compiler.Version.t -> Peak_compiler.Version.t list -> Rating.t list;
-    }
+  | Relative of (Runner.t -> base:Peak_compiler.Version.t -> Peak_compiler.Version.t -> Rating.t)
 
-module type RATER = sig
-  val meth : t
-  val name : string
-  val in_auto_chain : bool
-  val condition : string
-  val describe : string
-  val applicable : max_contexts:int -> max_components:int -> Profile.t -> (unit, string) result
-  val prepare : params:Rating.params -> non_ts_cycles:float -> Profile.t -> prepared
-end
+let condition = function
+  | Cbr -> "context analysis succeeds and the observed contexts stay few"
+  | Mbr -> "the basic-block component model stays small"
+  | Rbr -> "the tuning section calls no side-effecting externals"
+  | Avg | Whl -> "always (baseline; never chosen automatically)"
 
-module Cbr_rater : RATER = struct
-  let meth = Cbr
-  let name = "CBR"
-  let in_auto_chain = true
-  let condition = "context analysis succeeds and the observed contexts stay few"
-
-  let describe =
-    "average invocation times observed under one specific context (Section 2.2)"
-
-  let applicable ~max_contexts ~max_components:_ (profile : Profile.t) =
-    match profile.Profile.context with
-    | Profile.Cbr_no reason -> Error (Printf.sprintf "CBR: %s" reason)
-    | Profile.Cbr_ok { stats; _ } ->
-        let n = List.length stats in
-        if n > max_contexts then
-          Error (Printf.sprintf "CBR: %d contexts exceed the limit of %d" n max_contexts)
-        else Ok ()
-
-  (* Forcing CBR past the context-count limit is allowed (the paper's
-     MGRID_CBR bar); only a failed context analysis is structural. *)
-  let prepare ~params ~non_ts_cycles:_ (profile : Profile.t) =
-    match profile.Profile.context with
-    | Profile.Cbr_no reason -> raise (Not_applicable ("CBR: " ^ reason))
-    | Profile.Cbr_ok { sources; stats; _ } ->
-        let target = match stats with s :: _ -> s.Profile.values | [] -> [||] in
-        Absolute (fun runner v -> Cbr.rate ~params runner ~sources ~target v)
-end
-
-module Mbr_rater : RATER = struct
-  let meth = Mbr
-  let name = "MBR"
-  let in_auto_chain = true
-  let condition = "the basic-block component model stays small"
-
-  let describe =
-    "regress invocation time onto basic-block component counts (Section 2.3)"
-
-  let applicable ~max_contexts:_ ~max_components (profile : Profile.t) =
-    let n = Component_analysis.n_components profile.Profile.components in
-    if n > max_components then
-      Error (Printf.sprintf "MBR: %d components exceed the limit of %d" n max_components)
-    else Ok ()
-
-  let prepare ~params ~non_ts_cycles:_ (profile : Profile.t) =
-    let components = profile.Profile.components in
-    let avg_counts = profile.Profile.avg_component_counts in
-    let dominant = profile.Profile.dominant_component in
-    Absolute (fun runner v -> Mbr.rate ~params runner ~components ~avg_counts ~dominant v)
-end
-
-module Rbr_rater : RATER = struct
-  let meth = Rbr
-  let name = "RBR"
-  let in_auto_chain = true
-  let condition = "the tuning section calls no side-effecting externals"
-
-  let describe =
-    "re-execute base and candidate back to back under a restored context (Section 2.4)"
-
-  let applicable ~max_contexts:_ ~max_components:_ (profile : Profile.t) =
-    if profile.Profile.impure_calls then
-      Error "RBR: tuning section calls side-effecting externals"
-    else Ok ()
-
-  let prepare ~params ~non_ts_cycles:_ (_ : Profile.t) =
-    Relative
-      {
-        rate = (fun runner ~base v -> Rbr.rate ~params runner ~base v);
-        rate_many = (fun runner ~base vs -> Rbr.rate_many ~params runner ~base vs);
-      }
-end
-
-module Avg_rater : RATER = struct
-  let meth = Avg
-  let name = "AVG"
-  let in_auto_chain = false
-  let condition = "always (baseline; never chosen automatically)"
-
-  let describe =
-    "average invocation times regardless of context — the unfair strawman (Section 5.2)"
-
-  let applicable ~max_contexts:_ ~max_components:_ (_ : Profile.t) = Ok ()
-
-  let prepare ~params ~non_ts_cycles:_ (_ : Profile.t) =
-    Absolute (fun runner v -> Avg.rate ~params runner v)
-end
-
-module Whl_rater : RATER = struct
-  let meth = Whl
-  let name = "WHL"
-  let in_auto_chain = false
-  let condition = "always (baseline; never chosen automatically)"
-
-  let describe =
-    "time whole program runs, non-TS portion included (Section 5.2)"
-
-  let applicable ~max_contexts:_ ~max_components:_ (_ : Profile.t) = Ok ()
-
-  let prepare ~params:_ ~non_ts_cycles (_ : Profile.t) =
-    Absolute (fun runner v -> Whl.rate runner ~non_ts_cycles v)
-end
-
-let rater : t -> (module RATER) = function
-  | Cbr -> (module Cbr_rater)
-  | Mbr -> (module Mbr_rater)
-  | Rbr -> (module Rbr_rater)
-  | Avg -> (module Avg_rater)
-  | Whl -> (module Whl_rater)
-
-let describe m =
-  let module R = (val rater m) in
-  R.describe
-
-let condition m =
-  let module R = (val rater m) in
-  R.condition
+let describe = function
+  | Cbr -> "average invocation times observed under one specific context (Section 2.2)"
+  | Mbr -> "regress invocation time onto basic-block component counts (Section 2.3)"
+  | Rbr -> "re-execute base and candidate back to back under a restored context (Section 2.4)"
+  | Avg -> "average invocation times regardless of context — the unfair strawman (Section 5.2)"
+  | Whl -> "time whole program runs, non-TS portion included (Section 5.2)"
 
 let applicable ?(max_contexts = default_max_contexts)
-    ?(max_components = default_max_components) m profile =
-  let module R = (val rater m) in
-  R.applicable ~max_contexts ~max_components profile
-
-let fallback_chain ?max_contexts ?max_components profile =
-  List.filter
-    (fun m -> Result.is_ok (applicable ?max_contexts ?max_components m profile))
-    auto_chain
+    ?(max_components = default_max_components) m (profile : Profile.t) =
+  match m with
+  | Cbr -> (
+      match profile.Profile.context with
+      | Profile.Cbr_no reason -> Error (Printf.sprintf "CBR: %s" reason)
+      | Profile.Cbr_ok { stats; _ } ->
+          let n = List.length stats in
+          if n > max_contexts then
+            Error (Printf.sprintf "CBR: %d contexts exceed the limit of %d" n max_contexts)
+          else Ok ())
+  | Mbr ->
+      let n = Component_analysis.n_components profile.Profile.components in
+      if n > max_components then
+        Error (Printf.sprintf "MBR: %d components exceed the limit of %d" n max_components)
+      else Ok ()
+  | Rbr ->
+      if profile.Profile.impure_calls then
+        Error "RBR: tuning section calls side-effecting externals"
+      else Ok ()
+  | Avg | Whl -> Ok ()
 
 (* Per-rating observability: when a tracer sink is installed, every
-   rating call emits a "rating:<METHOD>" instant carrying the number of
-   ratings produced and invocations consumed, plus method-keyed
-   counters.  With tracing off the wrappers reduce to the raw raters —
-   one branch, no clock reads. *)
+   rating call emits a "rating:<METHOD>" instant carrying the one rating
+   produced and the invocations consumed, plus method-keyed counters.
+   With tracing off the wrappers reduce to the raw raters — one branch,
+   no clock reads. *)
 let observed mname prepared =
-  let emit runner before ~ratings outcome =
+  let emit runner before outcome =
     let delta = Runner.invocations_consumed runner - before in
-    Peak_obs.count ~n:ratings ("method.ratings." ^ mname);
+    Peak_obs.count ("method.ratings." ^ mname);
     Peak_obs.count ~n:delta ("method.invocations." ^ mname);
     Peak_obs.instant ~cat:"method"
-      ~args:
-        [
-          ("ratings", string_of_int ratings);
-          ("invocations", string_of_int delta);
-          ("outcome", outcome);
-        ]
+      ~args:[ ("ratings", "1"); ("invocations", string_of_int delta); ("outcome", outcome) ]
       ("rating:" ^ mname)
   in
-  let watch runner ~ratings f =
+  let watch runner f =
     if not (Peak_obs.active ()) then f ()
     else
       let before = Runner.invocations_consumed runner in
       match f () with
       | r ->
-          emit runner before ~ratings "rated";
+          emit runner before "rated";
           r
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          emit runner before ~ratings
-            (match e with Rating.No_samples _ -> "no-samples" | _ -> "raised");
+          emit runner before (match e with Rating.No_samples _ -> "no-samples" | _ -> "raised");
           Printexc.raise_with_backtrace e bt
   in
   match prepared with
-  | Absolute rate ->
-      Absolute (fun runner v -> watch runner ~ratings:1 (fun () -> rate runner v))
-  | Relative { rate; rate_many } ->
-      Relative
-        {
-          rate =
-            (fun runner ~base v -> watch runner ~ratings:1 (fun () -> rate runner ~base v));
-          rate_many =
-            (fun runner ~base vs ->
-              watch runner ~ratings:(List.length vs) (fun () -> rate_many runner ~base vs));
-        }
+  | Absolute rate -> Absolute (fun runner v -> watch runner (fun () -> rate runner v))
+  | Relative rate -> Relative (fun runner ~base v -> watch runner (fun () -> rate runner ~base v))
 
-let prepare ?(params = Rating.default_params) ~non_ts_cycles m profile =
-  let module R = (val rater m) in
-  observed R.name (R.prepare ~params ~non_ts_cycles profile)
+(* Forcing CBR past the context-count limit is allowed (the paper's
+   MGRID_CBR bar); only a failed context analysis is structural. *)
+let prepare ?(params = Rating.default_params) ~non_ts_cycles m (profile : Profile.t) =
+  observed (name m)
+    (match m with
+    | Cbr -> (
+        match profile.Profile.context with
+        | Profile.Cbr_no reason -> raise (Not_applicable ("CBR: " ^ reason))
+        | Profile.Cbr_ok { sources; stats; _ } ->
+            let target = match stats with s :: _ -> s.Profile.values | [] -> [||] in
+            Absolute (fun runner v -> Cbr.rate ~params runner ~sources ~target v))
+    | Mbr ->
+        let components = profile.Profile.components in
+        let avg_counts = profile.Profile.avg_component_counts in
+        let dominant = profile.Profile.dominant_component in
+        Absolute (fun runner v -> Mbr.rate ~params runner ~components ~avg_counts ~dominant v)
+    | Rbr -> Relative (fun runner ~base v -> Rbr.rate ~params runner ~base v)
+    | Avg -> Absolute (fun runner v -> Avg.rate ~params runner v)
+    | Whl -> Absolute (fun runner v -> Whl.rate runner ~non_ts_cycles v))
 
 type attempt = { a_method : t; a_converged : bool; a_ratings : int }
 

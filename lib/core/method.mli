@@ -1,20 +1,20 @@
-(** The rating-method layer: one first-class definition of "what a
-    rating method is" (Section 3).
+(** The rating-method layer: one definition of "what a rating method
+    is" (Section 3).
 
     Every consumer — the tuning driver, the fallback harness, the CLI,
     the persistent store's codecs and the bench grids — speaks this one
     type; there is no second method enum anywhere in the tree.  A method
-    is described by a {!RATER} instance: a stable name, an applicability
-    judgment against a {!Profile.t}, and a [prepare] step that closes
-    over the profile's context/component data and returns the rating
-    functions themselves.
+    has a stable name, an applicability judgment against a {!Profile.t}
+    ({!applicable}), and a {!prepare} step that closes over the
+    profile's context/component data and returns the rating function
+    itself.
 
     The paper's §3 fallback rule ("if the system cannot achieve enough
     accuracy ... within some number of invocations, it switches to the
-    next applicable rating method") operates over {!fallback_chain}: the
-    applicable subset of {!auto_chain} in the consultant's preference
-    order CBR, MBR, RBR.  AVG and WHL are the Section 5.2 baselines —
-    always ratable, never chosen automatically. *)
+    next applicable rating method") operates over the applicable subset
+    of {!auto_chain}, in the consultant's preference order CBR, MBR,
+    RBR.  AVG and WHL are the Section 5.2 baselines — always ratable,
+    never chosen automatically. *)
 
 type t = Cbr | Mbr | Rbr | Avg | Whl
 
@@ -44,6 +44,13 @@ val key : t -> string
 val of_string : string -> t option
 (** Case-insensitive parse of {!name}/{!key}. *)
 
+val request_of_string : string -> (t option, string) result
+(** A method request: ["auto"] (any case) is [None], which the tuning
+    driver resolves from its own profiling pass (with the §3 fallback)
+    instead of profiling twice; anything else goes through
+    {!of_string}.  The error is a one-line ["unknown rating method ..."]
+    message. *)
+
 val names : string list
 (** [List.map name all]. *)
 
@@ -69,54 +76,23 @@ val applicable :
     exclusion (e.g. ["CBR: 7 contexts exceed the limit of 4"]).  AVG and
     WHL are always applicable. *)
 
-val fallback_chain : ?max_contexts:int -> ?max_components:int -> Profile.t -> t list
-(** The applicable subset of {!auto_chain}, in preference order — the
-    chain the driver's §3 fallback walks in auto mode. *)
-
-(** What {!prepare} returns: the rating functions, closed over the
+(** What {!prepare} returns: the rating function, closed over the
     profile.  [Absolute] methods rate a version by itself (the EVAL is a
     time; relative comparisons divide two EVALs); [Relative] methods
     (RBR) natively rate a version against a base. *)
 type prepared =
   | Absolute of (Runner.t -> Peak_compiler.Version.t -> Rating.t)
-  | Relative of {
-      rate : Runner.t -> base:Peak_compiler.Version.t -> Peak_compiler.Version.t -> Rating.t;
-      rate_many :
-        Runner.t -> base:Peak_compiler.Version.t -> Peak_compiler.Version.t list -> Rating.t list;
-          (** Section 2.4.2's batching: fixed per-invocation overheads
-              are amortized across all versions sharing one base. *)
-    }
-
-(** One rating method as a first-class module — the registry's unit. *)
-module type RATER = sig
-  val meth : t
-  val name : string
-
-  val in_auto_chain : bool
-  (** False for the AVG/WHL baselines. *)
-
-  val condition : string
-  (** Applicability condition, prose. *)
-
-  val describe : string
-
-  val applicable : max_contexts:int -> max_components:int -> Profile.t -> (unit, string) result
-
-  val prepare : params:Rating.params -> non_ts_cycles:float -> Profile.t -> prepared
-  (** @raise Not_applicable when the profile lacks what the method
-      needs.  Note [prepare] is deliberately more permissive than
-      [applicable]: a method the consultant would reject on cost grounds
-      (CBR with too many contexts) can still be forced, matching the
-      paper's MGRID_CBR bar. *)
-end
-
-val rater : t -> (module RATER)
-(** The registry lookup. *)
+  | Relative of (Runner.t -> base:Peak_compiler.Version.t -> Peak_compiler.Version.t -> Rating.t)
 
 val prepare :
   ?params:Rating.params -> non_ts_cycles:float -> t -> Profile.t -> prepared
-(** [rater m |> prepare] with defaulted params.
-    @raise Not_applicable as {!RATER.prepare}. *)
+(** The method's rater over [profile] (default params
+    {!Rating.default_params}).
+    @raise Not_applicable when the profile lacks what the method needs.
+    [prepare] is deliberately more permissive than {!applicable}: a
+    method the consultant would reject on cost grounds (CBR with too
+    many contexts) can still be forced, matching the paper's MGRID_CBR
+    bar. *)
 
 (** {1 Fallback attempts} *)
 

@@ -47,5 +47,3 @@ let stall_for t ~now config =
   | None -> 0.0
 
 let compiles t = t.compiles
-
-let total_compile_cycles t = float_of_int t.compiles *. t.compile_cycles

@@ -41,5 +41,3 @@ val stall_for : t -> now:float -> Peak_compiler.Optconfig.t -> float
 val compiles : t -> int
 (** Versions compiled so far. *)
 
-val total_compile_cycles : t -> float
-(** Aggregate compile work performed (regardless of overlap). *)

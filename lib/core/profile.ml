@@ -147,18 +147,20 @@ let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
   in
   (* the pass streams into flat arrays: invocation [i]'s candidate
      values are [ctx.(i * k)] .. [ctx.(i * k + k - 1)] *)
-  let handles = Array.of_list (List.map Interp.source_handle candidate_sources) in
-  let k = Array.length handles in
+  let k = List.length candidate_sources in
   let ctx = Array.make (n * k) 0.0 in
   let times = Array.make n 0.0 in
   let samples = ref [] in
   let total = ref 0.0 in
+  (* one option for the pass: [~context] would box one per invocation *)
+  let context = Some candidate_sources in
   for i = 0 to n - 1 do
-    let time = Runner.step_lent runner o3 ~context:handles ctx (i * k) in
+    let time = Runner.step ?context runner o3 in
+    Array.blit (Runner.context runner) 0 ctx (i * k) k;
     times.(i) <- time;
     total := !total +. time;
     (* a sample outlives the invocation; the lent counts do not *)
-    if sample_here.(i) then samples := Array.copy (Runner.lent_counts runner) :: !samples
+    if sample_here.(i) then samples := Array.copy (Runner.counts runner) :: !samples
   done;
   let count_samples = Array.of_list (List.rev !samples) in
   let components = Component_analysis.analyze ~samples:count_samples in

@@ -2,13 +2,6 @@ open Peak_util
 open Peak_ir
 open Peak_machine
 
-type sample = {
-  index : int;
-  time : float;
-  counts : int array;
-  context : float array;
-}
-
 type failure = Crashed | Hung
 
 type failure_info = { failure : failure; config : string; invocation : int }
@@ -44,6 +37,12 @@ type t = {
   mutable invocations : int;
   mutable tuning_cycles : float;
   mutable initialized : bool;
+  (* the context sources of the last step that named any, their handles
+     (resolved again when a step names a different list) and their
+     values, lent until the next step *)
+  mutable sources : Expr.source list;
+  mutable handles : Interp.source_handle array;
+  mutable context : float array;
 }
 
 let of_tape ?(seed = 42) ?(context_switch_rate = 0.02) ?faults ?(fault_attempt = 0)
@@ -100,6 +99,9 @@ let of_tape ?(seed = 42) ?(context_switch_rate = 0.02) ?faults ?(fault_attempt =
     invocations = 0;
     tuning_cycles = 0.0;
     initialized = false;
+    sources = [];
+    handles = [||];
+    context = [||];
   }
 
 let create ?seed ?context_switch_rate ?faults ?fault_attempt ?invocation_budget tsec trace
@@ -128,10 +130,8 @@ let advance t =
   t.invocations <- t.invocations + 1;
   t.pos <- t.pos + 1
 
-(* The ordinal [advance] just set up: kept, or lent to a whole-pass
-   reader that keeps nothing past the next invocation. *)
-let interp_result t = Tape.result t.tape (t.invocations - 1)
-let lent_result t = Tape.lend t.tape (t.invocations - 1)
+(* The ordinal [advance] just set up, lent until the next advance. *)
+let result t = Tape.result t.tape (t.invocations - 1)
 
 let fault_key t (version : Peak_compiler.Version.t) =
   let config = version.Peak_compiler.Version.config in
@@ -202,48 +202,36 @@ let fault_check t version (r : Interp.result) =
           fail t Crashed version
       | Some Peak_sim.Fault.Hang -> hang t version)
 
-let read_context t sources = Tape.context t.tape (t.invocations - 1) sources
-
-(* [step] for the profile's whole pass: the context goes to a row of the
-   caller's array, the counters stay lent, and no sample is built.  The
-   same calls in the same order as [step], so every draw lands alike. *)
-let step_lent t version ~context row off =
+(* Advance, then read the invocation's context into [t.context] and
+   charge the instrumentation: a few cycles per variable. *)
+let advance_reading t sources =
   advance t;
-  let k = Array.length context in
-  if k > 0 then begin
-    Tape.context_into t.tape (t.invocations - 1) context row off;
-    t.tuning_cycles <- t.tuning_cycles +. (4.0 *. float_of_int k)
+  if sources != t.sources then begin
+    t.sources <- sources;
+    t.handles <- Array.of_list (List.map Interp.source_handle sources);
+    t.context <- Array.make (Array.length t.handles) 0.0
   end;
-  let r = lent_result t in
+  let k = Array.length t.handles in
+  if k > 0 then begin
+    Tape.context_into t.tape (t.invocations - 1) t.handles t.context;
+    t.tuning_cycles <- t.tuning_cycles +. (4.0 *. float_of_int k)
+  end
+
+let execute t version =
+  let r = result t in
   fault_check t version r;
   time_execution t version r
 
-let lent_counts t = (lent_result t).Interp.block_counts
-
 let step ?(context = []) t version =
-  advance t;
-  let ctx = read_context t context in
-  if context <> [] then begin
-    (* context-read instrumentation: a few cycles per variable *)
-    t.tuning_cycles <- t.tuning_cycles +. (4.0 *. float_of_int (List.length context))
-  end;
-  let r = interp_result t in
-  fault_check t version r;
-  let time = time_execution t version r in
-  { index = t.pos - 1; time; counts = r.Interp.block_counts; context = ctx }
+  advance_reading t context;
+  execute t version
 
-(* Like [step], but the version is chosen after the invocation's context
-   is known — the dynamic swapping of the adaptive scenario. *)
 let step_choose ~context t choose =
-  advance t;
-  let ctx = read_context t context in
-  if context <> [] then
-    t.tuning_cycles <- t.tuning_cycles +. (4.0 *. float_of_int (List.length context));
-  let version = choose ctx in
-  let r = interp_result t in
-  fault_check t version r;
-  let time = time_execution t version r in
-  { index = t.pos - 1; time; counts = r.Interp.block_counts; context = ctx }
+  advance_reading t context;
+  execute t (choose t.context)
+
+let counts t = (result t).Interp.block_counts
+let context t = t.context
 
 (* Cycles to copy the modified-input set once (a load+store per word).
    The payload is measured after the invocation ran, so symbolic
@@ -258,7 +246,7 @@ let copy_cycles ?(use_ranges = true) t =
 
 let step_pair ?(improved = true) ?(use_ranges = true) t ~base ~experimental =
   advance t;
-  let r = interp_result t in
+  let r = result t in
   fault_check t experimental r;
   let charge c = t.tuning_cycles <- t.tuning_cycles +. c in
   let copy_cycles t = copy_cycles ~use_ranges t in
@@ -289,7 +277,7 @@ let step_pair ?(improved = true) ?(use_ranges = true) t ~base ~experimental =
    timed execution. *)
 let step_batch ?(use_ranges = true) t ~base ~experimentals =
   advance t;
-  let r = interp_result t in
+  let r = result t in
   List.iter (fun v -> fault_check t v r) experimentals;
   let charge c = t.tuning_cycles <- t.tuning_cycles +. c in
   let copy = copy_cycles ~use_ranges t in
@@ -323,8 +311,7 @@ let rest_of_pass t =
 let run_full_pass t version =
   let total = ref 0.0 in
   for _ = 1 to rest_of_pass t do
-    let s = step t version in
-    total := !total +. s.time
+    total := !total +. step t version
   done;
   !total
 
@@ -336,7 +323,7 @@ let pass_terms t =
   let mem = ref 0.0 in
   for _ = 1 to rest_of_pass t do
     advance t;
-    let r = lent_result t in
+    let r = result t in
     let c = r.Interp.block_counts in
     for b = 0 to Array.length c - 1 do
       counts.(b) <- counts.(b) + c.(b)
@@ -355,13 +342,13 @@ let pass_terms t =
    The run is charged like any other timed execution, and crash/hang
    faults fire through {!step} as usual. *)
 let output_digest t version =
-  let s = step t version in
+  ignore (step t version : float);
   let h = ref 0xcbf29ce484222325L in
   let fold i =
     h := Int64.mul (Int64.logxor !h (Int64.of_int i)) 0x100000001b3L
   in
-  fold s.index;
-  Array.iter fold s.counts;
+  fold (t.pos - 1);
+  Array.iter fold (counts t);
   let miscompiled =
     match t.faults with
     | None -> false

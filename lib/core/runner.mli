@@ -25,13 +25,6 @@
 
 type t
 
-type sample = {
-  index : int;  (** Invocation index within the pass. *)
-  time : float;  (** Measured (noisy) cycles. *)
-  counts : int array;  (** Block entry counts. *)
-  context : float array;  (** Context-variable values, if requested. *)
-}
-
 type failure =
   | Crashed  (** The version died mid-invocation (injected or transient). *)
   | Hung  (** The invocation outlived the watchdog budget. *)
@@ -86,25 +79,47 @@ val of_tape :
   Peak_machine.Machine.t ->
   t
 (** A runner reading [tape] from ordinal 0, with {!create}'s options.
-    On a {!Tape.shared} tape its samples, times, contexts and ledger
+    On a {!Tape.shared} tape its times, counts, contexts and ledger
     equal those of a runner created on a fresh copy of the trace. *)
 
 val machine : t -> Peak_machine.Machine.t
 val tsection : t -> Tsection.t
 
+(** {1 Steps}
+
+    Every step reads one invocation: advance to it, read its [context]
+    sources (charging a few instrumentation cycles per source), consult
+    the fault plan, then time the execution, drawing noise and memory
+    state in that order.  What a step read is {e lent} until the
+    runner's next step: {!counts} (the tape's result, {!Tape.result})
+    and {!context} may be overwritten by it.  A reader that keeps either
+    past its next step copies it — the profile its count samples and
+    context values, {!Adaptive} its slot keys — and no reader mutates
+    them.  The context sources are resolved to handles once, and again
+    only when a step names a different list (physically) than the
+    last. *)
+
 val step :
-  ?context:Peak_ir.Expr.source list -> t -> Peak_compiler.Version.t -> sample
-(** Advance to the next invocation and execute it under the version.
-    The sample's [counts] are the reader's to keep ({!Tape.result}):
-    no later step overwrites them. *)
+  ?context:Peak_ir.Expr.source list -> t -> Peak_compiler.Version.t -> float
+(** Advance to the next invocation, read [context] (default none) and
+    execute the invocation under the version: its measured (noisy)
+    time. *)
 
 val step_choose :
   context:Peak_ir.Expr.source list ->
   t ->
   (float array -> Peak_compiler.Version.t) ->
-  sample
-(** Advance, read the invocation's context, then execute the version the
-    callback picks for it — the dynamic swap of the online scenario. *)
+  float
+(** {!step}, with the version the callback picks for the invocation's
+    context (lent, as {!context}) — the dynamic swap of the online
+    scenario. *)
+
+val counts : t -> int array
+(** Block entry counts of the invocation the last step read, lent. *)
+
+val context : t -> float array
+(** Values of the last step's context sources, in order, lent; empty
+    when it read none. *)
 
 val step_pair :
   ?improved:bool ->
@@ -140,33 +155,6 @@ val charge_overhead : t -> float -> unit
 val run_full_pass : t -> Peak_compiler.Version.t -> float
 (** Execute every remaining invocation of the current pass under one
     version and return the summed TS time — the WHL primitive. *)
-
-(** {1 Whole-pass reads}
-
-    The two readers that walk a whole pass — the §3 profile
-    ({!Profile.run}) and {!pass_terms} — read each invocation's counters
-    lent from the runner's private tape ({!Tape.lend}) instead of
-    copying them, and read context sources through handles resolved
-    once.  Every other read copies: {!step}, {!step_choose},
-    {!step_pair}, {!step_batch} and {!output_digest}. *)
-
-val step_lent :
-  t ->
-  Peak_compiler.Version.t ->
-  context:Peak_ir.Interp.source_handle array ->
-  float array ->
-  int ->
-  float
-(** [step_lent t v ~context row off] is [step ~context t v] for a
-    whole-pass reader on a runner of its own ({!create}): the values of
-    the [context] sources go to [row.(off)], [row.(off + 1)], … and the
-    measured time is returned.  The runner charges, draws and times
-    exactly as {!step} does.  No sample is built: the block counts stay
-    lent through {!lent_counts} until the next step. *)
-
-val lent_counts : t -> int array
-(** Block counts of the invocation the last step executed, lent: the
-    next step may overwrite them, so a caller that keeps them copies. *)
 
 val pass_terms : t -> int array * float
 (** Consume the invocations {!run_full_pass} would and return the two

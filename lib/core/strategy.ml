@@ -98,76 +98,10 @@ let single ctx ~label ~scope f start =
   let best, stats = run_stage ctx 1 label (fun () -> f start) in
   (best, stats, [ { sg_label = label; sg_ratings = stats.Search.ratings; sg_flags = scope } ])
 
-module type STRATEGY = sig
-  val strat : t
-
-  val run : ctx -> Optconfig.t -> Optconfig.t * Search.stats * stage list
-end
-
 (* Random and FF draw their candidate streams from [seed + 3] — the
    exact RNG the driver historically created for them — so results stay
    bit-identical with pre-registry runs. *)
 let search_rng ctx = Peak_util.Rng.create ~seed:(ctx.seed + 3)
-
-module Ie_strategy = struct
-  let strat = Ie
-
-  let run ctx start =
-    single ctx ~label:"eliminate" ~scope:(List.length (Optconfig.enabled start))
-      (Search.iterative_elimination ~threshold:ctx.threshold ~prepare:ctx.prepare
-         ?rate_many:ctx.rate_many ~relative:ctx.relative)
-      start
-end
-
-module Be_strategy = struct
-  let strat = Be
-
-  let run ctx start =
-    single ctx ~label:"batch" ~scope:(List.length (Optconfig.enabled start))
-      (Search.batch_elimination ~threshold:ctx.threshold ~prepare:ctx.prepare
-         ?rate_many:ctx.rate_many ~relative:ctx.relative)
-      start
-end
-
-module Ce_strategy = struct
-  let strat = Ce
-
-  let run ctx start =
-    single ctx ~label:"eliminate" ~scope:(List.length (Optconfig.enabled start))
-      (Search.combined_elimination ~threshold:ctx.threshold ~prepare:ctx.prepare
-         ?rate_many:ctx.rate_many ~relative:ctx.relative)
-      start
-end
-
-let random_strategy n : (module STRATEGY) =
-  (module struct
-    let strat = Random n
-
-    let run ctx start =
-      single ctx ~label:"sample" ~scope:(Array.length Flags.all)
-        (Search.random_search ~samples:n ?rate_many:ctx.rate_many ~rng:(search_rng ctx)
-           ~relative:ctx.relative)
-        start
-  end)
-
-module Ff_strategy = struct
-  let strat = Ff
-
-  let run ctx start =
-    single ctx ~label:"factorial" ~scope:(Array.length Flags.all)
-      (Search.fractional_factorial ~threshold:ctx.threshold ?rate_many:ctx.rate_many
-         ~rng:(search_rng ctx) ~relative:ctx.relative)
-      start
-end
-
-module Ose_strategy = struct
-  let strat = Ose
-
-  let run ctx start =
-    single ctx ~label:"explore" ~scope:(List.length (Optconfig.enabled start))
-      (Search.ose ~threshold:ctx.threshold ~relative:ctx.relative)
-      start
-end
 
 (* ---- the staged (learned) strategy ---------------------------------- *)
 
@@ -263,48 +197,59 @@ let staged_screen ctx start =
     end
   end
 
-module Staged_strategy = struct
-  let strat = Staged
-
-  let run ctx start =
-    let scope = List.length (Optconfig.enabled start) in
-    let survivors, probe_ratings = run_stage ctx 1 "screen" (fun () -> staged_screen ctx start) in
-    let stage1 = { sg_label = "screen"; sg_ratings = probe_ratings; sg_flags = scope } in
-    let flags = List.map fst survivors in
-    (* screening eliminated everything (or the start had no flags):
-       return the start untouched instead of running an empty stage 2 *)
-    let best, refine_stats =
-      if flags = [] then (start, { Search.ratings = 0; iterations = 0; trajectory = [] })
-      else
-        run_stage ctx 2 "refine" (fun () ->
-            Search.focused_elimination ~threshold:ctx.threshold ~prepare:ctx.prepare
-              ?rate_many:ctx.rate_many ~flags ~relative:ctx.relative start)
-    in
-    let stage2 =
-      {
-        sg_label = "refine";
-        sg_ratings = refine_stats.Search.ratings;
-        sg_flags = List.length flags;
-      }
-    in
-    ( best,
-      {
-        Search.ratings = probe_ratings + refine_stats.Search.ratings;
-        iterations = 1 + refine_stats.Search.iterations;
-        trajectory = refine_stats.Search.trajectory;
-      },
-      [ stage1; stage2 ] )
-end
-
-let strategy : t -> (module STRATEGY) = function
-  | Ie -> (module Ie_strategy)
-  | Be -> (module Be_strategy)
-  | Ce -> (module Ce_strategy)
-  | Random n -> random_strategy n
-  | Ff -> (module Ff_strategy)
-  | Ose -> (module Ose_strategy)
-  | Staged -> (module Staged_strategy)
+let run_staged ctx start =
+  let scope = List.length (Optconfig.enabled start) in
+  let survivors, probe_ratings = run_stage ctx 1 "screen" (fun () -> staged_screen ctx start) in
+  let stage1 = { sg_label = "screen"; sg_ratings = probe_ratings; sg_flags = scope } in
+  let flags = List.map fst survivors in
+  (* screening eliminated everything (or the start had no flags):
+     return the start untouched instead of running an empty stage 2 *)
+  let best, refine_stats =
+    if flags = [] then (start, { Search.ratings = 0; iterations = 0; trajectory = [] })
+    else
+      run_stage ctx 2 "refine" (fun () ->
+          Search.focused_elimination ~threshold:ctx.threshold ~prepare:ctx.prepare
+            ?rate_many:ctx.rate_many ~flags ~relative:ctx.relative start)
+  in
+  let stage2 =
+    {
+      sg_label = "refine";
+      sg_ratings = refine_stats.Search.ratings;
+      sg_flags = List.length flags;
+    }
+  in
+  ( best,
+    {
+      Search.ratings = probe_ratings + refine_stats.Search.ratings;
+      iterations = 1 + refine_stats.Search.iterations;
+      trajectory = refine_stats.Search.trajectory;
+    },
+    [ stage1; stage2 ] )
 
 let run s ctx start =
-  let module S = (val strategy s) in
-  S.run ctx start
+  let threshold = ctx.threshold and prepare = ctx.prepare and rate_many = ctx.rate_many in
+  let relative = ctx.relative in
+  let enabled = List.length (Optconfig.enabled start) and universe = Array.length Flags.all in
+  match s with
+  | Ie ->
+      single ctx ~label:"eliminate" ~scope:enabled
+        (Search.iterative_elimination ~threshold ~prepare ?rate_many ~relative)
+        start
+  | Be ->
+      single ctx ~label:"batch" ~scope:enabled
+        (Search.batch_elimination ~threshold ~prepare ?rate_many ~relative)
+        start
+  | Ce ->
+      single ctx ~label:"eliminate" ~scope:enabled
+        (Search.combined_elimination ~threshold ~prepare ?rate_many ~relative)
+        start
+  | Random samples ->
+      single ctx ~label:"sample" ~scope:universe
+        (Search.random_search ~samples ?rate_many ~rng:(search_rng ctx) ~relative)
+        start
+  | Ff ->
+      single ctx ~label:"factorial" ~scope:universe
+        (Search.fractional_factorial ~threshold ?rate_many ~rng:(search_rng ctx) ~relative)
+        start
+  | Ose -> single ctx ~label:"explore" ~scope:enabled (Search.ose ~threshold ~relative) start
+  | Staged -> run_staged ctx start

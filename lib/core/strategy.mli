@@ -92,25 +92,13 @@ val make_ctx :
 (** Convenience constructor (threshold 0.005, seed 11, no-op hooks,
     empty corpus) — the defaults {!Driver.tune} uses. *)
 
-module type STRATEGY = sig
-  val strat : t
-
-  val run :
-    ctx -> Peak_compiler.Optconfig.t -> Peak_compiler.Optconfig.t * Search.stats * stage list
-  (** Run the full staged plan from a start configuration.  Must call
-      [ctx.enter_stage]/[ctx.leave_stage] around every stage, route all
-      candidate scans through [ctx.rate_many] when present, and return
-      one {!stage} record per stage in execution order. *)
-end
-(** The shared stage signature each registered search implements. *)
-
-val strategy : t -> (module STRATEGY)
-(** The registered module for a strategy ([Random n] closes over its
-    sample count). *)
-
 val run :
   t -> ctx -> Peak_compiler.Optconfig.t -> Peak_compiler.Optconfig.t * Search.stats * stage list
-(** [run s ctx start] = [let module S = (val strategy s) in S.run ctx start]. *)
+(** [run s ctx start] runs the strategy's full staged plan from a start
+    configuration.  Every strategy calls [ctx.enter_stage]/
+    [ctx.leave_stage] around every stage, routes its candidate scans
+    through [ctx.rate_many] when present (all but [Ose]), and returns
+    one {!stage} record per stage in execution order. *)
 
 val staged_probe_count : trained:bool -> int -> int
 (** Number of stage-1 screening probes [Staged] draws for an [n]-flag

@@ -24,14 +24,14 @@ type shared = {
   (* written under [lock] before [extent] moves past them, so a reader
      that saw [extent] > k finds record k (in this array or a newer one) *)
   mutable records : record array;
-  mutable candidates : Expr.source array;
+  mutable candidates : Interp.source_handle array;  (** resolved at ordinal 0 *)
   mutable failure : exn option;  (** raised extending ordinal [extent] *)
 }
 
 (* The one ordinal a private tape holds; [result] is [unread] and
    [payload] negative until its reader asks for them.  Once interpreted,
-   [result] is the class cache's, a copy, or the scratch's lent counters
-   ({!Interp.lent_result}), which [result] copies before handing out. *)
+   [result] is the class cache's or the scratch's lent counters
+   ({!Interp.lent_result}). *)
 type cursor = {
   mutable ordinal : int;
   mutable result : Interp.result;
@@ -118,14 +118,14 @@ let run t e =
   t.steps <- t.steps + Interp.scratch_steps e.scratch
 
 (* Interpret ordinal [k].  The result is the class cache's when the
-   trace declares the class seen, else the scratch's counters, lent:
-   the next interpretation overwrites them, so a reader that keeps them
-   takes [kept]. *)
-let interpret t e k =
+   trace declares the class seen, else the scratch's counters: lent,
+   since the next interpretation overwrites them, or with [copy] a
+   snapshot. *)
+let interpret t e k ~copy =
   match e.trace.Trace.class_of with
   | None ->
       run t e;
-      Interp.lent_result e.scratch
+      if copy then Interp.result_of_scratch e.scratch else Interp.lent_result e.scratch
   | Some class_of -> (
       let c = class_of (k mod t.length) in
       match Hashtbl.find e.class_cache c with
@@ -137,14 +137,12 @@ let interpret t e k =
           Hashtbl.add e.class_cache c r;
           r)
 
-(* A result no later interpretation can overwrite. *)
-let kept e r = if r == Interp.lent_result e.scratch then Interp.result_of_scratch e.scratch else r
-
 (* ---------------- shared ---------------- *)
 
 let candidates_of tsec (trace : Trace.t) =
   match Context_analysis.analyze tsec ~mutated_arrays:trace.Trace.mutated_arrays with
-  | Context_analysis.Applicable { sources; _ } -> Array.of_list sources
+  | Context_analysis.Applicable { sources; _ } ->
+      Array.of_list (List.map Interp.source_handle sources)
   | Context_analysis.Not_applicable _ -> [||]
 
 (* Extension starts at ordinal 0, which builds the engine. *)
@@ -153,17 +151,12 @@ let record t sh k =
   if k = 0 then sh.candidates <- candidates_of t.tsec e.trace;
   setup t e k;
   let faults = ref [] in
-  let context =
-    Array.mapi
-      (fun j src ->
-        match Interp.read_source e.env src with
-        | v -> v
-        | exception ex ->
-            faults := (j, ex) :: !faults;
-            Float.nan)
-      sh.candidates
-  in
-  let result = kept e (interpret t e k) in
+  let context = Array.make (Array.length sh.candidates) Float.nan in
+  Array.iteri
+    (fun j h ->
+      try Interp.read_handle_into h e.env context j with ex -> faults := (j, ex) :: !faults)
+    sh.candidates;
+  let result = interpret t e k ~copy:true in
   let payload =
     match Snapshot.measure_bytes t.tsec e.env with
     | b -> b
@@ -212,7 +205,7 @@ let candidate sh src =
   let rec find j =
     if j >= Array.length sh.candidates then
       invalid_arg "Tape.context: not a candidate context source of the section"
-    else if sh.candidates.(j) = src then j
+    else if Interp.handle_source sh.candidates.(j) = src then j
     else find (j + 1)
   in
   find 0
@@ -224,17 +217,8 @@ let current c k =
 
 let private_result t c k =
   current c k;
-  if c.result == unread then c.result <- interpret t (engine t) k;
+  if c.result == unread then c.result <- interpret t (engine t) k ~copy:false;
   c.result
-
-(* Private readers that keep what they read get a snapshot: samples and
-   the adaptive engine hold counts across invocations. *)
-let private_kept t c k =
-  let e = engine t in
-  let r = private_result t c k in
-  let r' = kept e r in
-  c.result <- r';
-  r'
 
 (* ---------------- readers ---------------- *)
 
@@ -248,39 +232,24 @@ let seek t k =
       c.result <- unread;
       c.payload <- -1
 
-let context t k sources =
-  match (sources, t.mode) with
-  | [], _ -> [||]
-  | _, Shared sh ->
-      let r = get sh k in
-      Array.of_list
-        (List.map
-           (fun src ->
-             let j = candidate sh src in
-             fault r j;
-             r.context.(j))
-           sources)
-  | _, Private c ->
-      current c k;
-      if c.result != unread then invalid_arg "Tape.context: read after the interpreter ran";
-      let env = (engine t).env in
-      Array.of_list (List.map (Interp.read_source env) sources)
-
-let context_into t k sources dst off =
+let context_into t k sources dst =
   match t.mode with
-  | Shared _ -> invalid_arg "Tape.context_into: a shared tape serves contexts through Tape.context"
+  | Shared sh ->
+      let r = get sh k in
+      for j = 0 to Array.length sources - 1 do
+        let c = candidate sh (Interp.handle_source sources.(j)) in
+        fault r c;
+        dst.(j) <- r.context.(c)
+      done
   | Private c ->
       current c k;
       if c.result != unread then invalid_arg "Tape.context_into: read after the interpreter ran";
       let env = (engine t).env in
       for j = 0 to Array.length sources - 1 do
-        Interp.read_source_into sources.(j) env dst (off + j)
+        Interp.read_handle_into sources.(j) env dst j
       done
 
 let result t k =
-  match t.mode with Shared sh -> (get sh k).result | Private c -> private_kept t c k
-
-let lend t k =
   match t.mode with Shared sh -> (get sh k).result | Private c -> private_result t c k
 
 let payload t k =

@@ -165,18 +165,6 @@ let control_conditions t =
 let temporaries t =
   List.filter (fun v -> String.length v > 3 && String.sub v 0 3 = "__t") t.ts.locals
 
-let all_scalars t =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  List.iter
-    (fun v ->
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        out := v :: !out
-      end)
-    (t.ts.params @ t.ts.locals);
-  List.rev !out
-
 let pp_simple fmt = function
   | SAssign (x, e) -> Format.fprintf fmt "%s = %a" x Expr.pp e
   | SStore (a, i, e) -> Format.fprintf fmt "%s[%a] = %a" a Expr.pp i Expr.pp e

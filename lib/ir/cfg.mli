@@ -54,7 +54,4 @@ val control_conditions : t -> (int * expr) list
 val temporaries : t -> var list
 (** Fresh temporaries introduced by lowering. *)
 
-val all_scalars : t -> var list
-(** Params, locals and temporaries (no arrays/pointers), deduplicated. *)
-
 val pp : Format.formatter -> t -> unit

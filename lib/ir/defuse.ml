@@ -114,7 +114,3 @@ let reaching t site loc =
     st := transfer t.pts t.cfg b i !st
   done;
   DefSet.elements (loc_get !st loc)
-
-let defs_of_simple t s = defs_of_simple_inner t.pts t.cfg s
-
-let all_locations t = t.locations

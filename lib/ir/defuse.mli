@@ -28,11 +28,6 @@ val analyze : Cfg.t -> Pointsto.t -> t
 val reaching : t -> site -> Loc.t -> def list
 (** Definitions of [loc] that may reach the use site, sorted. *)
 
-val defs_of_simple : t -> Cfg.simple -> (Loc.t * [ `Strong | `Weak ]) list
-(** The locations a statement defines, with update strength (exposed for
-    tests and for the RBR def-set computation). *)
-
 val value_sources : Cfg.simple -> Expr.source list
 (** The value sources a simple statement reads. *)
 
-val all_locations : t -> Loc.t list

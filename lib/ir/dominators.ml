@@ -128,7 +128,3 @@ let natural_loop t ~header =
 
 let loop_depth t id =
   List.fold_left (fun acc (_, body) -> if List.mem id body then acc + 1 else acc) 0 t.loops
-
-let dominator_tree_children t id =
-  List.filter (fun b -> reachable t b && t.idom.(b) = id)
-    (List.init (Array.length t.idom) (fun i -> i))

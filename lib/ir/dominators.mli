@@ -32,5 +32,3 @@ val natural_loop : t -> header:int -> int list
 
 val loop_depth : t -> int -> int
 (** Number of natural loops containing the block. *)
-
-val dominator_tree_children : t -> int -> int list

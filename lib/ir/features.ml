@@ -21,23 +21,6 @@ type ts = {
   n_loops : int;
 }
 
-let empty_block =
-  {
-    alu = 0;
-    muldiv = 0;
-    transcendental = 0;
-    mem_read = 0;
-    mem_write = 0;
-    redundancy = 0;
-    pressure = 0;
-    bases = [];
-    pointer_bases = [];
-    has_branch = false;
-    loop_depth = 0;
-    is_loop_header = false;
-    impure_calls = 0;
-  }
-
 (* Operation counts of one expression. *)
 let rec expr_ops e =
   let open Types in

@@ -45,9 +45,6 @@ type ts = {
 
 val of_cfg : Cfg.t -> ts
 
-val empty_block : block
-(** All-zero feature vector (identity for accumulation). *)
-
 val vector_dims : string list
 (** Names of the components of {!vector}, in order. *)
 

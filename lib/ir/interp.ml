@@ -735,32 +735,30 @@ let rec eval env e =
       let y = eval env b in
       Expr.apply_cmp op x y
 
-let read_source env = function
-  | Expr.Scalar v -> get_scalar env v
-  | Expr.Array_elem (a, Some k) ->
-      let arr = get_array env a in
-      if k < 0 || k >= Array.length arr then
-        raise (Out_of_bounds (Printf.sprintf "%s[%d] (context read)" a k));
-      arr.(k)
-  | Expr.Array_elem (a, None) ->
-      raise (Out_of_bounds (Printf.sprintf "%s[non-constant] is not a context source" a))
-  | Expr.Pointer_deref p -> get_scalar env (deref_target env p)
-
 (* A context source resolved like the handles above: each read looks up
-   no name.  Reads raise exactly what [read_source] raises. *)
+   no name.  The handle keeps its source, by which a shared tape finds
+   the candidate it recorded. *)
 type pointer_handle = { p_name : string; mutable p_binding : binding }
 
-type source_handle =
+type source_read =
   | Src_scalar of handle
   | Src_elem of array_handle * int
   | Src_deref of pointer_handle
-  | Src_invalid of Expr.source
+  | Src_invalid of string
 
-let source_handle = function
-  | Expr.Scalar v -> Src_scalar (handle v)
-  | Expr.Array_elem (a, Some k) -> Src_elem (array_handle a, k)
-  | Expr.Pointer_deref p -> Src_deref { p_name = p; p_binding = unresolved }
-  | Expr.Array_elem (_, None) as src -> Src_invalid src
+type source_handle = { source : Expr.source; read : source_read }
+
+let source_handle source =
+  let read =
+    match source with
+    | Expr.Scalar v -> Src_scalar (handle v)
+    | Expr.Array_elem (a, Some k) -> Src_elem (array_handle a, k)
+    | Expr.Pointer_deref p -> Src_deref { p_name = p; p_binding = unresolved }
+    | Expr.Array_elem (a, None) -> Src_invalid a
+  in
+  { source; read }
+
+let handle_source h = h.source
 
 let find_pointer h env =
   match Hashtbl.find env.pointer_slots h.p_name with
@@ -769,8 +767,8 @@ let find_pointer h env =
       s
   | exception Not_found -> unknown_pointer h.p_name
 
-let read_source_into h env dst i =
-  match h with
+let read_handle_into h env dst i =
+  match h.read with
   | Src_scalar h -> dst.(i) <- get_handle h env
   | Src_elem (h, k) ->
       let arr = get_array_handle h env in
@@ -785,5 +783,6 @@ let read_source_into h env dst i =
       if Bytes.get env.scalar_bound target = '\000' then
         unknown_scalar env.scalar_names.(target);
       dst.(i) <- env.scalar_vals.(target)
-  | Src_invalid src -> dst.(i) <- read_source env src
+  | Src_invalid a ->
+      raise (Out_of_bounds (Printf.sprintf "%s[non-constant] is not a context source" a))
 

@@ -69,17 +69,13 @@ val get_pointer : env -> string -> string
 (** Current target scalar of a pointer; raises {!Out_of_bounds} on an
     unbound pointer. *)
 
-val read_source : env -> Expr.source -> float
-(** Current value of a context-variable source (scalar, constant-subscript
-    array element, or pointer dereference). *)
-
 (** {1 Handles — names resolved once per environment}
 
     The string-keyed accessors above hash the name on every call.  A
     {e handle} resolves a name to its slot on first use in an
     environment and keeps that (environment, slot) pair, so a trace's
-    per-invocation setup, or a whole-pass reader of context sources,
-    looks up no name after the first invocation.
+    per-invocation setup, or a reader of context sources, looks up no
+    name after the first invocation.
 
     Contract:
     - The pair is one immutable value behind one mutable field.  A use
@@ -92,8 +88,9 @@ val read_source : env -> Expr.source -> float
       {!set_scalar} does; a handle read raises what the string accessor
       raises ({!Out_of_bounds} for an unknown or unbound name).
     - A handle is mutable state.  Create it where its user is created —
-      inside the [trace dataset ~seed] function that builds a trace, not
-      at module top level — so that no two domains share one.  Sharing
+      inside the [trace dataset ~seed] function that builds a trace, or
+      in the runner or tape that reads it, not at module top level — so
+      that no two domains share one.  Sharing
       would stay correct (each use checks its environment) but the
       domains would keep evicting each other's pair. *)
 
@@ -117,14 +114,22 @@ val get_array_handle : array_handle -> env -> float array
 (** {!get_array} through a handle. *)
 
 type source_handle
-(** A context-variable source ({!Expr.source}). *)
+(** A context-variable source ({!Expr.source}): a scalar, a
+    constant-subscript array element, or a pointer dereference. *)
 
 val source_handle : Expr.source -> source_handle
 
-val read_source_into : source_handle -> env -> float array -> int -> unit
-(** [read_source_into h env dst i] stores {!read_source} of [h]'s source
-    in [dst.(i)], raising what {!read_source} raises; nothing is
-    allocated on the non-raising path. *)
+val handle_source : source_handle -> Expr.source
+(** The source [h] was created for. *)
+
+val read_handle_into : source_handle -> env -> float array -> int -> unit
+(** [read_handle_into h env dst i] stores the current value of [h]'s
+    source in [dst.(i)]; nothing is allocated on the non-raising path.
+    A source that cannot be read raises {!Out_of_bounds} and writes
+    nothing: an unknown or unbound scalar, array or pointer (as
+    {!get_scalar}, {!get_array} and {!get_pointer} raise), a constant
+    subscript outside the array (["a[10] (context read)"]), or a
+    non-constant subscript, which is no context source at all. *)
 
 (** {1 Compiled execution — the zero-allocation hot path} *)
 

@@ -89,4 +89,11 @@ let all = [ sparc2; pentium4 ]
 let by_name name =
   List.find_opt (fun m -> String.lowercase_ascii m.name = String.lowercase_ascii name) all
 
+let of_string name =
+  match (by_name name, String.lowercase_ascii name) with
+  | Some m, _ -> Ok m
+  | None, ("sparc2" | "sparc") -> Ok sparc2
+  | None, ("pentium4" | "p4") -> Ok pentium4
+  | None, _ -> Error (Printf.sprintf "unknown machine %s (sparc2 | pentium4)" name)
+
 let seconds_of_cycles t cycles = cycles /. (t.clock_ghz *. 1e9)

@@ -44,4 +44,9 @@ val all : t list
 val by_name : string -> t option
 (** Case-insensitive lookup by the display name. *)
 
+val of_string : string -> (t, string) result
+(** {!by_name}, also accepting the CLI spellings [sparc2]/[sparc] and
+    [pentium4]/[p4]; the error is a one-line ["unknown machine ..."]
+    message. *)
+
 val seconds_of_cycles : t -> float -> float

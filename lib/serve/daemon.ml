@@ -50,64 +50,18 @@ type t = {
   mutable conns : (Unix.file_descr * Thread.t) list;
 }
 
-(* ---------------- name resolution ----------------
-   The server resolves benchmark/machine/dataset/search/method names
-   itself (the wire carries strings), with the CLI's spellings. *)
-
-type job = {
-  j_benchmark : Benchmark.t;
-  j_machine : Machine.t;
-  j_dataset : Trace.dataset;
-  j_strategy : Strategy.t;
-  j_method : Method.t option;
-  j_params : Rating.params;
-  j_threshold : float;
-  j_seed : int;
-  j_faults : Peak_sim.Fault.t option;
-}
-
-let find_benchmark name =
-  match Registry.by_name name with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown benchmark %s (valid: %s)" name
-           (String.concat ", "
-              (List.sort String.compare
-                 (List.map (fun b -> b.Benchmark.name) Registry.all))))
-
-let find_machine name =
-  match Machine.by_name name with
-  | Some m -> Ok m
-  | None -> (
-      match String.lowercase_ascii name with
-      | "sparc2" | "sparc" -> Ok Machine.sparc2
-      | "pentium4" | "p4" -> Ok Machine.pentium4
-      | _ -> Error (Printf.sprintf "unknown machine %s (sparc2 | pentium4)" name))
-
-let find_dataset name =
-  match String.lowercase_ascii name with
-  | "train" -> Ok Trace.Train
-  | "ref" -> Ok Trace.Ref
-  | other -> Error ("unknown dataset " ^ other ^ " (train | ref)")
-
-let find_method name =
-  if String.lowercase_ascii name = "auto" then Ok None
-  else
-    match Method.of_string name with
-    | Some m -> Ok (Some m)
-    | None ->
-        Error
-          (Printf.sprintf "unknown rating method %s (valid: auto, %s)" name
-             (String.concat ", " Method.keys))
+(* ---------------- session arguments ----------------
+   The server resolves names itself (the wire carries strings), with the
+   CLI's parsers; a resume decodes the stored metadata as the CLI's
+   [session resume] does, so both resume bit-identically. *)
 
 let job_of_spec (sp : Wire.submit_spec) =
-  let* j_benchmark = find_benchmark sp.Wire.sb_benchmark in
-  let* j_machine = find_machine sp.Wire.sb_machine in
-  let* j_dataset = find_dataset sp.Wire.sb_dataset in
-  let* j_strategy = Strategy.of_string sp.Wire.sb_search in
-  let* j_method = find_method sp.Wire.sb_method in
-  let* j_params =
+  let* sa_benchmark = Registry.of_string sp.Wire.sb_benchmark in
+  let* sa_machine = Machine.of_string sp.Wire.sb_machine in
+  let* sa_dataset = Trace.dataset_of_string sp.Wire.sb_dataset in
+  let* sa_strategy = Strategy.of_string sp.Wire.sb_search in
+  let* sa_method = Method.request_of_string sp.Wire.sb_method in
+  let* sa_params =
     match sp.Wire.sb_cap with
     | None -> Ok Rating.default_params
     | Some n when n >= 1 -> Ok { Rating.default_params with Rating.max_invocations = n }
@@ -115,59 +69,27 @@ let job_of_spec (sp : Wire.submit_spec) =
   in
   Ok
     {
-      j_benchmark;
-      j_machine;
-      j_dataset;
-      j_strategy;
-      j_method;
-      j_params;
-      j_threshold = 0.005;
-      j_seed = sp.Wire.sb_seed;
-      j_faults = None;
+      Driver.sa_benchmark;
+      sa_machine;
+      sa_dataset;
+      sa_strategy;
+      sa_method;
+      sa_params;
+      sa_threshold = 0.005;
+      sa_seed = sp.Wire.sb_seed;
+      sa_start = Peak_compiler.Optconfig.o3;
+      sa_faults = None;
     }
 
-(* Resume rebuilds the job from the session's stored metadata — same
-   recipe as the CLI's [session resume], so daemon-side resume is
-   bit-identical to batch-side resume. *)
 let job_of_stored ~dir id =
   let* info = Peak_store.Session.load_info ~dir ~id in
-  let m = info.Peak_store.Session.info_meta in
-  let* j_benchmark = find_benchmark m.Peak_store.Codec.m_benchmark in
-  let* j_machine = find_machine m.Peak_store.Codec.m_machine in
-  let* j_dataset = find_dataset m.Peak_store.Codec.m_dataset in
-  let* j_strategy = Strategy.of_string m.Peak_store.Codec.m_search in
-  let* j_method = find_method m.Peak_store.Codec.m_method in
-  let* j_params =
-    match Rating.params_of_signature m.Peak_store.Codec.m_params with
-    | Some p -> Ok p
-    | None ->
-        Error ("session has unreadable rating parameters: " ^ m.Peak_store.Codec.m_params)
-  in
-  let* j_faults =
-    match m.Peak_store.Codec.m_faults with
-    | "-" -> Ok None
-    | spec -> (
-        match Peak_sim.Fault.of_string spec with
-        | Ok plan -> Ok (Some plan)
-        | Error e -> Error ("session has an unreadable fault plan: " ^ e))
-  in
-  Ok
-    {
-      j_benchmark;
-      j_machine;
-      j_dataset;
-      j_strategy;
-      j_method;
-      j_params;
-      j_threshold = m.Peak_store.Codec.m_threshold;
-      j_seed = m.Peak_store.Codec.m_seed;
-      j_faults;
-    }
+  Driver.session_args info.Peak_store.Session.info_meta
 
-let meta_of_job job =
-  Driver.session_meta ?method_:job.j_method ~strategy:job.j_strategy
-    ~rating_params:job.j_params ~threshold:job.j_threshold ~seed:job.j_seed
-    ?faults:job.j_faults job.j_benchmark job.j_machine job.j_dataset
+let meta_of_job (job : Driver.session_args) =
+  Driver.session_meta ?method_:job.Driver.sa_method ~strategy:job.Driver.sa_strategy
+    ~rating_params:job.Driver.sa_params ~threshold:job.Driver.sa_threshold
+    ~seed:job.Driver.sa_seed ~start:job.Driver.sa_start ?faults:job.Driver.sa_faults
+    job.Driver.sa_benchmark job.Driver.sa_machine job.Driver.sa_dataset
 
 (* ---------------- lifecycle ---------------- *)
 
@@ -316,11 +238,11 @@ let run_session t entry job ticket =
           ~finally:(fun () -> Peak_store.Session.close session)
           (fun () ->
             match
-              Driver.tune ~seed:job.j_seed ~strategy:job.j_strategy
-                ~rating_params:job.j_params ~threshold:job.j_threshold
-                ?method_:job.j_method ~pool:t.pool ~store:session
-                ?faults:job.j_faults ~progress job.j_benchmark job.j_machine
-                job.j_dataset
+              Driver.tune ~seed:job.Driver.sa_seed ~strategy:job.Driver.sa_strategy
+                ~rating_params:job.Driver.sa_params ~threshold:job.Driver.sa_threshold
+                ?method_:job.Driver.sa_method ~pool:t.pool ~store:session
+                ?faults:job.Driver.sa_faults ~progress job.Driver.sa_benchmark
+                job.Driver.sa_machine job.Driver.sa_dataset
             with
             | r -> Done (Driver.result_summary r)
             | exception Aborted why -> Cancelled why

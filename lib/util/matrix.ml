@@ -27,14 +27,12 @@ let of_arrays a =
     a;
   init ~rows ~cols ~f:(fun r c -> a.(r).(c))
 
-let to_arrays m = Array.init m.rows (fun r -> Array.init m.cols (fun c -> get m r c))
 let identity n = init ~rows:n ~cols:n ~f:(fun r c -> if r = c then 1.0 else 0.0)
 let rows m = m.rows
 let cols m = m.cols
 let copy m = { m with data = Array.copy m.data }
 let transpose m = init ~rows:m.cols ~cols:m.rows ~f:(fun r c -> get m c r)
 let row m r = Array.init m.cols (fun c -> get m r c)
-let col m c = Array.init m.rows (fun r -> get m r c)
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";
@@ -177,8 +175,6 @@ let least_squares a b =
     x.(i) <- !acc /. get r i i
   done;
   x
-
-let frobenius_norm m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
 
 let equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols

@@ -16,7 +16,6 @@ val init : rows:int -> cols:int -> f:(int -> int -> float) -> t
 val of_arrays : float array array -> t
 (** @raise Invalid_argument on ragged or empty input. *)
 
-val to_arrays : t -> float array array
 val identity : int -> t
 val rows : t -> int
 val cols : t -> int
@@ -26,7 +25,6 @@ val copy : t -> t
 val transpose : t -> t
 
 val row : t -> int -> float array
-val col : t -> int -> float array
 
 val mul : t -> t -> t
 (** Matrix product.  @raise Invalid_argument on dimension mismatch. *)
@@ -46,8 +44,6 @@ val least_squares : t -> float array -> float array
 (** [least_squares a b] minimizes [‖a x − b‖₂] for a (possibly tall)
     matrix via Householder QR.  Requires [rows a >= cols a] and full
     column rank; @raise Failure on rank deficiency. *)
-
-val frobenius_norm : t -> float
 
 val equal : ?eps:float -> t -> t -> bool
 (** Elementwise comparison with tolerance (default [1e-9]). *)

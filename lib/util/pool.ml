@@ -65,12 +65,6 @@ let depth pool =
   Mutex.unlock pool.mutex;
   d
 
-let in_flight pool =
-  Mutex.lock pool.mutex;
-  let r = pool.running in
-  Mutex.unlock pool.mutex;
-  r
-
 let map (type b) pool (f : 'a -> b) items =
   let items = Array.of_list items in
   let n = Array.length items in

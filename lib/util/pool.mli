@@ -35,11 +35,6 @@ val depth : t -> int
     point-in-time level for admission control; also published as the
     [pool.depth] gauge when tracing is on. *)
 
-val in_flight : t -> int
-(** Tasks dequeued and currently executing on some domain (workers and
-    helping submitters alike).  Published as the [pool.inflight] gauge
-    when tracing is on. *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f items] applies [f] to every element, executing the
     applications on the pool, and returns the results in the order of

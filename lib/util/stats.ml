@@ -52,10 +52,6 @@ let mad a =
   let m = median a in
   median (Array.map (fun x -> abs_float (x -. m)) a)
 
-let coefficient_of_variation a =
-  let m = mean a in
-  if m = 0.0 then 0.0 else stddev a /. m
-
 let geometric_mean a =
   ensure_nonempty "Stats.geometric_mean" a;
   Array.iter (fun x -> if x <= 0.0 then invalid_arg "Stats.geometric_mean: nonpositive element") a;
@@ -362,16 +358,7 @@ let significantly_less ~mean1 ~var1 ~n1 ~mean2 ~var2 ~n2 =
   | Insufficient_data | Equal -> false
   | Welch { t_stat; df } -> t_stat < -.t_critical95 ~df
 
-let significantly_greater ~mean1 ~var1 ~n1 ~mean2 ~var2 ~n2 =
-  match welch_t_summary ~mean1 ~var1 ~n1 ~mean2 ~var2 ~n2 with
-  | Insufficient_data | Equal -> false
-  | Welch { t_stat; df } -> t_stat > t_critical95 ~df
-
 let windows a ~size =
   if size <= 0 then invalid_arg "Stats.windows: size must be positive";
   let n = Array.length a / size in
   Array.init n (fun w -> Array.sub a (w * size) size)
-
-let normalize_by a ~base =
-  if base = 0.0 then invalid_arg "Stats.normalize_by: zero base";
-  Array.map (fun x -> x /. base) a

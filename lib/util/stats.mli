@@ -29,9 +29,6 @@ val percentile : float array -> p:float -> float
 val mad : float array -> float
 (** Median absolute deviation (robust spread estimate). *)
 
-val coefficient_of_variation : float array -> float
-(** [stddev / mean]; 0 when the mean is 0. *)
-
 val geometric_mean : float array -> float
 (** Geometric mean; requires all elements positive. *)
 
@@ -143,21 +140,9 @@ val significantly_less :
     win.  (Used by the adaptive engine to swap versions only on
     statistically real wins.) *)
 
-val significantly_greater :
-  mean1:float -> var1:float -> n1:int -> mean2:float -> var2:float -> n2:int -> bool
-(** Mirror of {!significantly_less}: is population 1's mean credibly
-    above population 2's?  Same [false] verdicts on
-    {!Insufficient_data} and {!Equal}.  (Used by the two-sided
-    staleness detector: a rating-time baseline credibly above the
-    recent window means the workload got cheaper.) *)
-
 (** {1 Aggregation helpers} *)
 
 val windows : float array -> size:int -> float array array
 (** Split samples into consecutive disjoint windows of [size]; a trailing
     partial window is discarded.  @raise Invalid_argument if
     [size <= 0]. *)
-
-val normalize_by : float array -> base:float -> float array
-(** Pointwise division by [base].  @raise Invalid_argument if [base]
-    is 0. *)

@@ -32,3 +32,12 @@ let by_name name =
   List.find_opt
     (fun b -> String.lowercase_ascii b.Benchmark.name = String.lowercase_ascii name)
     all
+
+let of_string name =
+  match by_name name with
+  | Some b -> Ok b
+  | None ->
+      Error
+        (Printf.sprintf "unknown benchmark %s (valid: %s)" name
+           (String.concat ", "
+              (List.sort String.compare (List.map (fun b -> b.Benchmark.name) all))))

@@ -14,3 +14,7 @@ val figure7 : Benchmark.t list
 
 val by_name : string -> Benchmark.t option
 (** Case-insensitive. *)
+
+val of_string : string -> (Benchmark.t, string) result
+(** {!by_name}; the error is a one-line ["unknown benchmark ..."]
+    message listing the valid names, sorted. *)

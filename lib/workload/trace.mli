@@ -46,6 +46,10 @@ type dataset = Train | Ref
 
 val dataset_name : dataset -> string
 
+val dataset_of_string : string -> (dataset, string) result
+(** Case-insensitive inverse of {!dataset_name}; the error is a one-line
+    ["unknown dataset ..."] message. *)
+
 val make :
   name:string ->
   length:int ->

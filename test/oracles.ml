@@ -214,6 +214,22 @@ let ts_pass_cycles ?(seed = 5) (benchmark : Benchmark.t) machine config dataset 
   let runner = Runner.create ~seed ~context_switch_rate:0.0 tsec trace machine in
   Runner.run_full_pass runner (Version.compile machine tsec.Tsection.features config)
 
+(* The string-keyed context read that source handles replaced: the
+   value of a context source, raising what a handle read must raise
+   (test_ir.ml, test_tape.ml). *)
+let read_source env =
+  let open Peak_ir in
+  function
+  | Expr.Scalar v -> Interp.get_scalar env v
+  | Expr.Array_elem (a, Some k) ->
+      let arr = Interp.get_array env a in
+      if k < 0 || k >= Array.length arr then
+        raise (Interp.Out_of_bounds (Printf.sprintf "%s[%d] (context read)" a k));
+      arr.(k)
+  | Expr.Array_elem (a, None) ->
+      raise (Interp.Out_of_bounds (Printf.sprintf "%s[non-constant] is not a context source" a))
+  | Expr.Pointer_deref p -> Interp.get_scalar env (Interp.get_pointer env p)
+
 (* The string-keyed hashtable interpreter the compiled interpreter
    replaced, kept as the executable specification it is differentially
    tested against (test_compile.ml).  It carries the same two
@@ -489,10 +505,10 @@ module Reference_rng = struct
     done
 end
 
-(* The profile run [Profile.run] replaced: every invocation builds a
-   [Runner.sample] (copied counts, a context array per invocation), and
-   the context table rebuilds each pruned key through lists and
-   re-inserts a tuple.  The streaming profile must equal it in every
+(* The profile run [Profile.run] replaced: every invocation copies its
+   context out of the runner into an array of its own (and a sampled
+   invocation its counts), and the context table rebuilds each pruned
+   key through lists and re-inserts a tuple.  The streaming profile must equal it in every
    field, the order of [stats] included (test_core.ml). *)
 module Reference_profile = struct
   open Peak_workload
@@ -522,11 +538,11 @@ module Reference_profile = struct
     let times = Array.make n 0.0 in
     let total = ref 0.0 in
     for i = 0 to n - 1 do
-      let s = Runner.step ~context:candidate_sources runner o3 in
-      times.(i) <- s.Runner.time;
-      total := !total +. s.Runner.time;
-      ctx_values.(i) <- s.Runner.context;
-      if sample_here.(i) then samples := s.Runner.counts :: !samples
+      let time = Runner.step ~context:candidate_sources runner o3 in
+      times.(i) <- time;
+      total := !total +. time;
+      ctx_values.(i) <- Array.copy (Runner.context runner);
+      if sample_here.(i) then samples := Array.copy (Runner.counts runner) :: !samples
     done;
     let count_samples = Array.of_list (List.rev !samples) in
     let components = Component_analysis.analyze ~samples:count_samples in

@@ -43,6 +43,23 @@ let bytes_per_call f n =
   in
   Float.min (once ()) (Float.min (once ()) (once ()))
 
+(* Amortized bytes per invocation of one whole pass: [pass ()] builds
+   what must not be metered and returns the pass with its invocation
+   count.  Minimum of three passes, as above, each starting and ending
+   on a minor collection: OCaml 5.1's [Gc.allocated_bytes] counts the
+   current minor cycle's words at an eighth. *)
+let bytes_per_invocation pass =
+  let once () =
+    let run, invocations = pass () in
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    run ();
+    Gc.minor ();
+    let b1 = Gc.allocated_bytes () in
+    (b1 -. b0) /. float_of_int invocations
+  in
+  Float.min (once ()) (Float.min (once ()) (once ()))
+
 (* The Figure-2 shape: a loop-body component plus a tail component —
    the same probe the bench `alloc` experiment meters. *)
 let loop_ts =
@@ -98,7 +115,8 @@ let test_summarize_into_budget () =
 
 (* One full simulated invocation of ART (interpret + cost model): a
    trace without a class_of cache, so the compiled interpreter runs
-   every step. *)
+   every step.  Metered exactly, between minor collections (see
+   [bytes_per_invocation]). *)
 let test_runner_step_budget () =
   if native then begin
     let open Peak_workload in
@@ -111,12 +129,13 @@ let test_runner_step_budget () =
       Peak_compiler.Version.compile machine tsec.Peak.Tsection.features Peak_compiler.Optconfig.o3
     in
     check_budget ~meter:"runner_step" "Runner.step"
-      (bytes_per_call (fun () -> Peak.Runner.step runner version) 500)
+      (bytes_per_invocation (fun () ->
+           ((fun () -> for _ = 1 to 500 do ignore (Peak.Runner.step runner version) done), 500)))
   end
 
 (* A rating runner following another through a shared tape reads the
    recorded interpretation and pays for timing only, over integer slots:
-   little more than the sample it returns. *)
+   little more than the time it returns. *)
 let test_runner_replay_budget () =
   if native then begin
     let open Peak_workload in
@@ -143,23 +162,6 @@ let test_runner_replay_budget () =
       (Peak.Tape.interpreted tape);
     check_budget ~meter:"runner_replay" "a replayed Runner.step" per_call
   end
-
-(* Amortized bytes per invocation of one whole pass: [pass ()] builds
-   what must not be metered and returns the pass with its invocation
-   count.  Minimum of three passes, as above, each starting and ending
-   on a minor collection: OCaml 5.1's [Gc.allocated_bytes] counts the
-   current minor cycle's words at an eighth. *)
-let bytes_per_invocation pass =
-  let once () =
-    let run, invocations = pass () in
-    Gc.minor ();
-    let b0 = Gc.allocated_bytes () in
-    run ();
-    Gc.minor ();
-    let b1 = Gc.allocated_bytes () in
-    (b1 -. b0) /. float_of_int invocations
-  in
-  Float.min (once ()) (Float.min (once ()) (once ()))
 
 (* The profile's train pass reads lent counters, resolves its context
    sources once and streams their values into flat arrays: MESA, whose

@@ -171,7 +171,7 @@ let step_until_failure runner v =
     if i >= 40 then Alcotest.fail "no failure within 40 invocations"
     else
       match Runner.step runner v with
-      | (_ : Runner.sample) -> go (i + 1)
+      | (_ : float) -> go (i + 1)
       | exception Runner.Failed info -> info
   in
   go 0
@@ -210,7 +210,7 @@ let test_runner_transient_retry () =
       i < 30
       &&
       match Runner.step runner v with
-      | (_ : Runner.sample) -> go (i + 1)
+      | (_ : float) -> go (i + 1)
       | exception Runner.Failed _ -> true
     in
     go 0

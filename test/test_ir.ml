@@ -642,7 +642,8 @@ let test_handle_binds_undeclared () =
   Alcotest.check_raises "unknown array" (Interp.Out_of_bounds "unknown array b") (fun () ->
       ignore (Interp.get_array_handle (Interp.array_handle "b") env))
 
-(* A source handle reads what [read_source] reads, raising alike. *)
+(* A source handle reads what the string-keyed [Oracles.read_source]
+   reads, raising alike and writing nothing when it raises. *)
 let test_source_handles () =
   let env = Interp.make_env handle_ts in
   Interp.set_scalar env "x" 7.0;
@@ -650,18 +651,24 @@ let test_source_handles () =
   let dst = Array.make 4 0.0 in
   List.iteri
     (fun i src ->
-      Interp.read_source_into (Interp.source_handle src) env dst i;
-      Alcotest.(check (float 0.0)) "value" (Interp.read_source env src) dst.(i))
+      let h = Interp.source_handle src in
+      Alcotest.(check bool) "keeps its source" true (Interp.handle_source h = src);
+      Interp.read_handle_into h env dst i;
+      Alcotest.(check (float 0.0)) "value" (Oracles.read_source env src) dst.(i))
     Expr.[ Scalar "x"; Array_elem ("a", Some 1); Pointer_deref "p" ];
   List.iter
     (fun src ->
-      let expected = try ignore (Interp.read_source env src); "" with Interp.Out_of_bounds m -> m in
+      let expected =
+        try ignore (Oracles.read_source env src); "" with Interp.Out_of_bounds m -> m
+      in
+      dst.(0) <- 42.0;
       let got =
-        try Interp.read_source_into (Interp.source_handle src) env dst 0; ""
+        try Interp.read_handle_into (Interp.source_handle src) env dst 0; ""
         with Interp.Out_of_bounds m -> m
       in
       Alcotest.(check string) "same error" expected got;
-      Alcotest.(check bool) "raised" true (got <> ""))
+      Alcotest.(check bool) "raised" true (got <> "");
+      Alcotest.(check (float 0.0)) "wrote nothing" 42.0 dst.(0))
     Expr.[ Scalar "nope"; Array_elem ("a", Some 4); Array_elem ("a", None); Pointer_deref "q" ]
 
 let suites =

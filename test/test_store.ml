@@ -1012,6 +1012,59 @@ let test_warmstart () =
         (Optconfig.equal r.Kb.rec_config good)
   | _ -> Alcotest.fail "no warm start despite history"
 
+(* [Driver.session_args] inverts [Driver.session_meta]: for auto and
+   every method, every strategy, and a capped, fault-injected,
+   warm-started session, re-encoding the decoded arguments writes the
+   same meta.json bytes.  An unreadable field is a typed error. *)
+let test_session_args_roundtrip () =
+  let bytes m = Json.to_string (Codec.session_meta_to_json m) in
+  let roundtrip label meta =
+    match Driver.session_args meta with
+    | Error e -> Alcotest.failf "%s: %s" label e
+    | Ok a ->
+        Alcotest.(check string) label (bytes meta)
+          (bytes
+             (Driver.session_meta ?method_:a.Driver.sa_method ~strategy:a.Driver.sa_strategy
+                ~rating_params:a.Driver.sa_params ~threshold:a.Driver.sa_threshold
+                ~seed:a.Driver.sa_seed ~start:a.Driver.sa_start ?faults:a.Driver.sa_faults
+                a.Driver.sa_benchmark a.Driver.sa_machine a.Driver.sa_dataset))
+  in
+  let mgrid = bench "MGRID" in
+  List.iter
+    (fun m ->
+      roundtrip
+        ("method " ^ Option.fold ~none:"auto" ~some:Method.key m)
+        (Driver.session_meta ?method_:m mgrid Machine.sparc2 Trace.Ref))
+    (None :: List.map Option.some Method.all);
+  List.iter
+    (fun s ->
+      roundtrip ("strategy " ^ Strategy.key s)
+        (Driver.session_meta ~strategy:s mgrid Machine.pentium4 Trace.Train))
+    (Strategy.Random 7 :: Strategy.all);
+  roundtrip "capped, faulty, warm"
+    (Driver.session_meta ~method_:Method.Rbr
+       ~rating_params:{ Rating.default_params with Rating.max_invocations = 30 }
+       ~threshold:0.01 ~seed:3
+       ~start:(Optconfig.disable Optconfig.o3 (Option.get (Flags.by_name "schedule-insns")))
+       ~faults:(Peak_sim.Fault.create ~spec:Peak_sim.Fault.default_spec ~seed:7 ())
+       (bench "ART") Machine.pentium4 Trace.Train);
+  let meta = Driver.session_meta mgrid Machine.sparc2 Trace.Train in
+  List.iter
+    (fun (label, bad, want) ->
+      match Driver.session_args bad with
+      | Ok _ -> Alcotest.failf "%s: decoded" label
+      | Error e ->
+          Alcotest.(check bool) (label ^ ": " ^ e) true (Oracles.contains ~sub:want e))
+    [
+      ("params", { meta with Codec.m_params = "window=ten" }, "unreadable rating parameters");
+      ("faults", { meta with Codec.m_faults = "crash=lots" }, "unreadable fault plan");
+      ("benchmark", { meta with Codec.m_benchmark = "NOPE" }, "unknown benchmark NOPE");
+      ("machine", { meta with Codec.m_machine = "vax" }, "unknown machine vax");
+      ("dataset", { meta with Codec.m_dataset = "big" }, "unknown dataset big");
+      ("search", { meta with Codec.m_search = "bogus" }, "unknown search bogus");
+      ("method", { meta with Codec.m_method = "bogus" }, "unknown rating method bogus");
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -1030,6 +1083,8 @@ let suites =
           Alcotest.test_case "JSON parser basics" `Quick test_json_parser_basics;
           Alcotest.test_case "optconfig digest is order-independent" `Quick
             test_digest_order_independent;
+          Alcotest.test_case "stored meta decodes to its arguments" `Quick
+            test_session_args_roundtrip;
         ] );
     ( "store.journal",
       [

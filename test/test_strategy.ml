@@ -78,6 +78,33 @@ let test_registry_tables_filled () =
       Alcotest.(check bool) "stage plan" true (String.length (Strategy.stage_plan s) > 0))
     Strategy.all
 
+(* [Strategy.run] sends each strategy to its own search: the result and
+   statistics equal the search run directly (Random and FF on the
+   [seed + 3] stream), and the stage labels spell [stage_plan]. *)
+let test_run_dispatch () =
+  let relative = synthetic_relative and start = Optconfig.o3 and seed = 5 in
+  let rng () = Peak_util.Rng.create ~seed:(seed + 3) in
+  List.iter
+    (fun (s, direct) ->
+      let best, stats, stages =
+        Strategy.run s (Strategy.make_ctx ~seed ~relative ()) start
+      in
+      let best', stats' = direct () in
+      let key = Strategy.key s in
+      Alcotest.(check bool) (key ^ ": best") true (Optconfig.equal best best');
+      Alcotest.(check bool) (key ^ ": stats") true (stats = stats');
+      Alcotest.(check string) (key ^ ": stages") (Strategy.stage_plan s)
+        (String.concat " -> " (List.map (fun g -> g.Strategy.sg_label) stages)))
+    [
+      (Strategy.Ie, fun () -> Search.iterative_elimination ~relative start);
+      (Strategy.Be, fun () -> Search.batch_elimination ~relative start);
+      (Strategy.Ce, fun () -> Search.combined_elimination ~relative start);
+      ( Strategy.Random 20,
+        fun () -> Search.random_search ~samples:20 ~rng:(rng ()) ~relative start );
+      (Strategy.Ff, fun () -> Search.fractional_factorial ~rng:(rng ()) ~relative start);
+      (Strategy.Ose, fun () -> Search.ose ~relative start);
+    ]
+
 (* The codec's search-key whitelist and the registry must stay in
    lockstep: every registry spelling validates, and the codec's list is
    exactly the registry's (with the random family collapsed). *)
@@ -280,6 +307,7 @@ let suites =
         Alcotest.test_case "spellings" `Quick test_registry_spellings;
         Alcotest.test_case "unknown one-line error" `Quick test_registry_unknown_is_one_line;
         Alcotest.test_case "tables filled" `Quick test_registry_tables_filled;
+        Alcotest.test_case "run dispatches each strategy" `Quick test_run_dispatch;
         Alcotest.test_case "codec keys lockstep" `Quick test_codec_keys_lockstep;
       ] );
     ( "strategy.determinism",

@@ -24,8 +24,9 @@ let shortened (tr : Trace.t) =
   Trace.make ~name:tr.Trace.name ~length:(min short_pass tr.Trace.length) ~init:tr.Trace.init
     ?class_of:tr.Trace.class_of ~mutated_arrays:tr.Trace.mutated_arrays tr.Trace.setup
 
+(* A step's time, with copies of the counts and context lent to it. *)
 type obs =
-  | Sample of int * float * int array * float array
+  | Sample of float * int array * float array
   | Pair of float * float
   | Batch of float * float list
 
@@ -44,16 +45,15 @@ type case = {
 
 let seeds = [| 101; 202; 303 |]
 
+let sample runner time =
+  Sample (time, Array.copy (Runner.counts runner), Array.copy (Runner.context runner))
+
 (* Runner [r]'s [i]-th step: the op mix rotates per runner, so at any
    ordinal the three readers ask the tape different questions. *)
 let step_op case runner r i =
   match (i + r) mod 4 with
-  | 0 ->
-      let s = Runner.step runner case.base in
-      Sample (s.Runner.index, s.Runner.time, s.Runner.counts, s.Runner.context)
-  | 1 ->
-      let s = Runner.step ~context:case.sources runner case.other in
-      Sample (s.Runner.index, s.Runner.time, s.Runner.counts, s.Runner.context)
+  | 0 -> sample runner (Runner.step runner case.base)
+  | 1 -> sample runner (Runner.step ~context:case.sources runner case.other)
   | 2 ->
       let b, e = Runner.step_pair runner ~base:case.base ~experimental:case.other in
       Pair (b, e)
@@ -166,43 +166,41 @@ let cases () =
   in
   registry @ [ drifted ]
 
-(* An independent oracle for what every reader must see at ordinal k:
-   the trace driven straight through the interpreter with no tape —
-   init at each pass start, setup, context read, then an interpretation
-   unless the trace declared the ordinal's class seen. *)
-let direct_interpretation case =
-  let trace = case.build () in
-  let env = Interp.make_env case.tsec.Tsection.ts in
+(* An independent oracle for what every reader must see at the first
+   [steps] ordinals: the trace driven straight through the interpreter
+   with no tape — init at each pass start, setup, context read, then an
+   interpretation unless the trace declared the ordinal's class seen. *)
+let direct_interpretation ~steps tsec (trace : Trace.t) sources =
+  let env = Interp.make_env tsec.Tsection.ts in
   let seen = Hashtbl.create 16 in
-  Array.init steps_per_runner (fun k ->
+  Array.init steps (fun k ->
       let pos = k mod trace.Trace.length in
       if pos = 0 then trace.Trace.init env;
       trace.Trace.setup pos env;
-      let context = Array.of_list (List.map (Interp.read_source env) case.sources) in
+      let context = Array.of_list (List.map (Oracles.read_source env) sources) in
       let cls = Option.map (fun class_of -> class_of pos) trace.Trace.class_of in
       let counts =
         match Option.bind cls (Hashtbl.find_opt seen) with
         | Some counts -> counts
         | None ->
-            let counts = (Interp.run case.tsec.Tsection.cfg env).Interp.block_counts in
+            let counts = (Interp.run tsec.Tsection.cfg env).Interp.block_counts in
             Option.iter (fun c -> Hashtbl.add seen c counts) cls;
             counts
       in
       (counts, context))
+
+let check_step label k (want_counts, want_context) counts context =
+  if counts <> want_counts then Alcotest.failf "%s: counts differ at ordinal %d" label k;
+  if context <> [||] && compare context want_context <> 0 then
+    Alcotest.failf "%s: context differs at ordinal %d" label k
 
 let check_against_direct label direct (transcripts : transcript array) =
   Array.iteri
     (fun r t ->
       List.iteri
         (fun k -> function
-          | Sample (index, _, counts, context) ->
-              let want_counts, want_context = direct.(k) in
-              Alcotest.(check int) (Printf.sprintf "%s runner %d: index" label r)
-                (k mod short_pass) index;
-              if counts <> want_counts then
-                Alcotest.failf "%s runner %d: counts differ at ordinal %d" label r k;
-              if context <> [||] && compare context want_context <> 0 then
-                Alcotest.failf "%s runner %d: context differs at ordinal %d" label r k
+          | Sample (_, counts, context) ->
+              check_step (Printf.sprintf "%s runner %d" label r) k direct.(k) counts context
           | Pair _ | Batch _ -> ())
         t.steps)
     transcripts
@@ -211,7 +209,9 @@ let test_shared_equals_fresh () =
   List.iter
     (fun case ->
       let expected = fresh_transcripts case in
-      check_against_direct case.label (direct_interpretation case) expected;
+      check_against_direct case.label
+        (direct_interpretation ~steps:steps_per_runner case.tsec (case.build ()) case.sources)
+        expected;
       Array.iter
         (fun t -> Alcotest.(check bool) (case.label ^ ": crossed a pass wrap") true (t.passes >= 2))
         expected;
@@ -354,7 +354,7 @@ let probe_version =
 
 let failing_step runner =
   match Runner.step runner probe_version with
-  | (_ : Runner.sample) -> None
+  | (_ : float) -> None
   | exception e -> Some e
 
 let test_extension_failure ~setup_fails () =
@@ -417,10 +417,10 @@ let test_context_read_failure () =
   List.iter
     (fun runner ->
       ignore (Runner.step runner version);
-      let s = Runner.step ~context:[ flag ] runner version in
-      Alcotest.(check (array (float 0.0))) "readable source" [| 0.0 |] s.Runner.context;
+      ignore (Runner.step ~context:[ flag ] runner version);
+      Alcotest.(check (array (float 0.0))) "readable source" [| 0.0 |] (Runner.context runner);
       match Runner.step ~context:[ bad ] runner version with
-      | (_ : Runner.sample) -> Alcotest.fail "expected Out_of_bounds"
+      | (_ : float) -> Alcotest.fail "expected Out_of_bounds"
       | exception Interp.Out_of_bounds _ -> ())
     [ on_tape; own ];
   Alcotest.(check int) "every ordinal recorded" 3 (Tape.recorded tape)
@@ -445,29 +445,39 @@ let test_extension_failure_pooled () =
         (match e with Interp.Out_of_bounds _ -> true | _ -> false))
     outcomes
 
-(* A private runner interprets into one reused scratch and lends it to
-   whole-pass readers; a sample's counts must still be its own: kept
-   across 100 more steps (each through a lent step, then a copying
-   one), they read as they did.  ART declares no classes, so every step
-   runs the interpreter; MGRID's class cache must not be overwritten
-   either. *)
-let test_kept_counts_survive_lending () =
+(* A step's counts and context are lent until the runner's next step.
+   Copied at each of 600 steps of a private runner reading the
+   section's parameters, they equal the direct interpretation's at
+   every ordinal: on ART, which declares no classes, so the counts are
+   the interpreter's scratch, overwritten by every step; and on MGRID,
+   whose counts are class-cache entries — one lent out still reads the
+   same 100 steps later. *)
+let test_lent_views () =
   List.iter
     (fun name ->
       let b = bench name in
-      let tsec = Tsection.make b.Benchmark.ts in
       let machine = Machine.sparc2 in
-      let runner = Runner.create ~seed:3 tsec (b.Benchmark.trace Trace.Train ~seed:3) machine in
+      let tsec = Tsection.make b.Benchmark.ts in
+      let build () = b.Benchmark.trace Trace.Train ~seed:3 in
+      let sources = List.map (fun p -> Expr.Scalar p) b.Benchmark.ts.Types.params in
       let o3 = Version.compile machine tsec.Tsection.features Optconfig.o3 in
-      let kept = (Runner.step runner o3).Runner.counts in
-      let snapshot = Array.copy kept in
-      for i = 1 to 100 do
-        if i mod 2 = 0 then ignore (Runner.step runner o3)
-        else ignore (Runner.step_lent runner o3 ~context:[||] [||] 0)
-      done;
-      Alcotest.(check (array int)) (name ^ ": kept counts unchanged") snapshot kept;
-      Alcotest.(check bool) (name ^ ": later steps moved the scratch") true
-        (name <> "ART" || Runner.lent_counts runner != kept))
+      let runner = Runner.create ~seed:3 tsec (build ()) machine in
+      let steps = 600 in
+      let lent =
+        Array.init steps (fun _ ->
+            ignore (Runner.step ~context:sources runner o3);
+            (Array.copy (Runner.counts runner), Array.copy (Runner.context runner)))
+      in
+      let direct = direct_interpretation ~steps tsec (build ()) sources in
+      Array.iteri (fun k (counts, context) -> check_step name k direct.(k) counts context) lent;
+      if name = "MGRID" then begin
+        let held = Runner.counts runner in
+        let snapshot = Array.copy held in
+        for _ = 1 to 100 do
+          ignore (Runner.step ~context:sources runner o3)
+        done;
+        Alcotest.(check (array int)) "class-cache entry unchanged" snapshot held
+      end)
     [ "ART"; "MGRID" ]
 
 let suites =
@@ -488,7 +498,7 @@ let suites =
           test_extension_failure_pooled;
         Alcotest.test_case "a failing context read fails its reader only" `Quick
           test_context_read_failure;
-        Alcotest.test_case "kept counts survive lent steps" `Quick
-          test_kept_counts_survive_lending;
+        Alcotest.test_case "lent counts and contexts match each ordinal" `Quick
+          test_lent_views;
       ] );
   ]
