@@ -36,7 +36,10 @@ let domains_arg =
   Arg.(
     value & opt int 2
     & info [ "j"; "domains" ] ~docv:"N"
-        ~doc:"Worker domains in the shared rating pool.")
+        ~doc:
+          "Domains that run sessions and their ratings: the main domain plus N-1 worker \
+           domains.  Up to N admitted sessions compute at once; the rest wait for a \
+           domain.")
 
 let max_sessions_arg =
   Arg.(
@@ -51,8 +54,9 @@ let quantum_arg =
     value & opt int 64
     & info [ "quantum" ] ~docv:"N"
         ~doc:
-          "Fair-share quantum: a session pauses once it is $(docv) freshly computed \
-           ratings ahead of the least-advanced active session.")
+          "Fair-share quantum: a session pauses, giving its domain to other work, once \
+           it is $(docv) freshly computed ratings ahead of the least-advanced active \
+           session.")
 
 let trace_file_arg =
   Arg.(

@@ -257,5 +257,29 @@ wait "$tuned_pid" || true
 diff "$SMOKE/serve-resumed.out" "$SMOKE/serve-uninterrupted.out" \
   || fail "the resumed daemon session differs from the uninterrupted run"
 echo "   resumed daemon session identical to the uninterrupted run"
+# A session over its fair share gives its domain back: of three sessions
+# admitted to a two-domain daemon with a quantum of 2 fresh ratings, one
+# waits for a domain and holds the minimum at zero, so the two running
+# sessions park.  Were a parked session to keep its domain, none would
+# finish; all three must finish and match the batch CLI.
+start_tuned "$SMOKE/serve-fair" "$SMOKE/daemon4.log" --max-sessions 3 --quantum 2
+pids=
+for s in 1 2 3; do
+  timeout 60 "$BIN" client submit SWIM --daemon "$SOCK" -s ie --seed "$s" > /dev/null &
+  pids="$pids $!"
+done
+for p in $pids; do
+  wait "$p" || { kill -TERM "$tuned_pid"; fail "a fair-share session did not finish in 60 s"; }
+done
+kill -TERM "$tuned_pid"
+wait "$tuned_pid" || true
+for s in 1 2 3; do
+  "$BIN" tune SWIM -s ie --seed "$s" --store "$SMOKE/fair-batch" > /dev/null
+done
+for id in $("$BIN" session list --store "$SMOKE/fair-batch" -q); do
+  cmp "$SMOKE/serve-fair/sessions/$id/result.json" "$SMOKE/fair-batch/sessions/$id/result.json" \
+    || fail "fair-share session $id differs from the batch CLI"
+done
+echo "   three sessions past a quantum of 2 finish, identical to the batch CLI"
 
 echo "== OK"

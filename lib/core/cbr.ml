@@ -13,11 +13,13 @@ let rate ?(params = Rating.default_params) runner ~sources ~target version =
   let consumed = ref 0 in
   let result = ref None in
   let scratch = Rating.make_scratch () in
+  (* one option for the rating: [~context] would box one per invocation *)
+  let context = Some sources in
   while !result = None do
     (* gather one window's worth of matching invocations *)
     let matched = ref 0 in
     while !matched < params.Rating.window && !consumed < params.Rating.max_invocations do
-      let time = Runner.step ~context:sources runner version in
+      let time = Runner.step ?context runner version in
       incr consumed;
       if Runner.context runner = target then begin
         incr matched;

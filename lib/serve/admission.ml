@@ -1,8 +1,12 @@
-type ticket = { tk_serial : int; mutable tk_fresh : int }
+type ticket = {
+  tk_serial : int;
+  mutable tk_fresh : int;
+  (* a session parked over budget: its abort hook and its resume *)
+  mutable tk_parked : ((unit -> bool) * (unit -> unit)) option;
+}
 
 type t = {
   mutex : Mutex.t;
-  cond : Condition.t;
   capacity : int;
   quantum : int;
   active : (int, ticket) Hashtbl.t;
@@ -22,7 +26,6 @@ let create ~capacity ~quantum =
   if quantum < 1 then invalid_arg "Admission.create: quantum must be >= 1";
   {
     mutex = Mutex.create ();
-    cond = Condition.create ();
     capacity;
     quantum;
     active = Hashtbl.create 32;
@@ -56,7 +59,7 @@ let try_admit t =
   end
   else begin
     t.serial <- t.serial + 1;
-    let tk = { tk_serial = t.serial; tk_fresh = 0 } in
+    let tk = { tk_serial = t.serial; tk_fresh = 0; tk_parked = None } in
     Hashtbl.replace t.active tk.tk_serial tk;
     Peak_obs.count "serve.admitted";
     note_inflight t;
@@ -68,36 +71,72 @@ let min_active_fresh t =
 
 let default_abort () = false
 
+(* Callers hold the mutex. *)
+let over_budget t tk abort =
+  (not t.closed) && (not (abort ()))
+  && Hashtbl.mem t.active tk.tk_serial
+  && tk.tk_fresh > min_active_fresh t + t.quantum
+
+(* Callers hold the mutex: take the resumes of every parked ticket now
+   within budget, for the caller to run once it has let go of the
+   mutex. *)
+let take_wakes t =
+  Hashtbl.fold
+    (fun _ tk acc ->
+      match tk.tk_parked with
+      | Some (abort, resume) when not (over_budget t tk abort) ->
+          tk.tk_parked <- None;
+          resume :: acc
+      | _ -> acc)
+    t.active []
+
+(* Run [f] under the mutex, then resume whoever its change let go. *)
+let changing t f =
+  let r, wakes =
+    locked t (fun () ->
+        let r = f () in
+        (r, take_wakes t))
+  in
+  List.iter (fun resume -> resume ()) wakes;
+  r
+
 let charge t tk ?(abort = default_abort) ~fresh () =
-  locked t @@ fun () ->
-  tk.tk_fresh <- fresh;
-  (* this ticket's advance may have raised the minimum — re-evaluate
-     everyone blocked on it *)
-  Condition.broadcast t.cond;
-  while
-    (not t.closed) && (not (abort ()))
-    && Hashtbl.mem t.active tk.tk_serial
-    && tk.tk_fresh > min_active_fresh t + t.quantum
-  do
-    Condition.wait t.cond t.mutex
-  done
+  (* this ticket's advance may have raised the minimum *)
+  let over =
+    changing t (fun () ->
+        tk.tk_fresh <- fresh;
+        over_budget t tk abort)
+  in
+  if over then
+    Peak_util.Pool.park (fun resume ->
+        let parked =
+          locked t (fun () ->
+              over_budget t tk abort
+              && begin
+                   tk.tk_parked <- Some (abort, resume);
+                   true
+                 end)
+        in
+        if not parked then resume ())
 
 let release t tk ~wall =
-  locked t @@ fun () ->
-  if Hashtbl.mem t.active tk.tk_serial then begin
-    Hashtbl.remove t.active tk.tk_serial;
-    t.completed <- t.completed + 1;
-    t.ewma <- (if t.ewma = 0.0 then wall else (0.8 *. t.ewma) +. (0.2 *. wall));
-    note_inflight t;
-    Condition.broadcast t.cond
-  end
+  let parked =
+    changing t (fun () ->
+        if Hashtbl.mem t.active tk.tk_serial then begin
+          Hashtbl.remove t.active tk.tk_serial;
+          t.completed <- t.completed + 1;
+          t.ewma <- (if t.ewma = 0.0 then wall else (0.8 *. t.ewma) +. (0.2 *. wall));
+          note_inflight t
+        end;
+        let p = tk.tk_parked in
+        tk.tk_parked <- None;
+        p)
+  in
+  Option.iter (fun (_, resume) -> resume ()) parked
 
-let kick t = locked t @@ fun () -> Condition.broadcast t.cond
+let kick t = changing t ignore
 
-let close t =
-  locked t @@ fun () ->
-  t.closed <- true;
-  Condition.broadcast t.cond
+let close t = changing t (fun () -> t.closed <- true)
 
 let stats t =
   locked t @@ fun () ->

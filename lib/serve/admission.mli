@@ -12,12 +12,21 @@
     {b Fair-share rating budgets.}  An admitted session calls {!charge}
     with its cumulative count of {e freshly computed} ratings (store
     replays are free — charging them would starve resumed sessions).
-    The call blocks while the session is more than [quantum] fresh
-    ratings ahead of the least-advanced active session, so concurrent
-    sessions drain the shared pool at matched rates.  The least-advanced
-    session never blocks, which makes the discipline deadlock-free; and
-    because blocking only ever delays work without reordering it, the
-    per-session results remain bit-identical to solo runs.
+    The call pauses the session while it is more than [quantum] fresh
+    ratings ahead of the least-advanced admitted session, so concurrent
+    sessions drain the shared pool at matched rates and a cheap session
+    is never starved by a long one.  A new ticket joins at zero, so the
+    converse does not hold: a long session waits behind every newcomer,
+    and a steady stream of cheap sessions starves it.  A session
+    charging from a {!Peak_util.Pool} job pauses by
+    {!Peak_util.Pool.park}ing: its runner takes other work — the session
+    still waiting for a domain that holds the minimum down, or other
+    sessions' rating tasks — so a pause never keeps a domain from work
+    that could use it.  Called outside a job, [charge] blocks its
+    thread.  The least-advanced session never pauses, which
+    makes the discipline deadlock-free; and because pausing only ever
+    delays work without reordering it, the per-session results remain
+    bit-identical to solo runs.
 
     All entry points are thread- and domain-safe. *)
 
@@ -40,7 +49,7 @@ val try_admit : t -> verdict
 
 val charge :
   t -> ticket -> ?abort:(unit -> bool) -> fresh:int -> unit -> unit
-(** Record the session's cumulative fresh-rating count and block while
+(** Record the session's cumulative fresh-rating count and pause while
     it is over fair-share budget.  Returns promptly once the controller
     is {!close}d, the ticket {!release}d, or [abort] turns true
     (re-evaluated on every {!kick}/state change — the cancellation
@@ -48,14 +57,14 @@ val charge :
 
 val release : t -> ticket -> wall:float -> unit
 (** Return the ticket, folding the session's wall-clock seconds into the
-    retry-after estimate and waking blocked chargers.  Idempotent. *)
+    retry-after estimate and resuming paused chargers.  Idempotent. *)
 
 val kick : t -> unit
-(** Wake all blocked {!charge} calls to re-evaluate their [abort]
+(** Make all paused {!charge} calls re-evaluate their [abort]
     predicates (e.g. after flagging a session cancelled). *)
 
 val close : t -> unit
-(** Shut admission down: subsequent {!try_admit}s are [Saturated] and
-    every blocked {!charge} returns.  Used at daemon shutdown. *)
+(** Refuse further admissions and resume every paused {!charge} (daemon
+    drain). *)
 
 val stats : t -> stats

@@ -34,6 +34,7 @@ type entry = {
   mutable e_fresh : int;
   mutable e_resumed : int;  (* -1 until the session journal is open *)
   e_cancel : bool Atomic.t;
+  mutable e_job : Driver.result Peak_util.Pool.job option;  (* once submitted *)
 }
 
 type t = {
@@ -45,7 +46,9 @@ type t = {
   stopping : bool Atomic.t;
   reg_mutex : Mutex.t;
   registry : (string, entry) Hashtbl.t;
-  mutable runners : Thread.t list;  (* guarded by reg_mutex *)
+  mutable runners : int;  (* live session threads, guarded by reg_mutex *)
+  runners_done : Condition.t;  (* broadcast when [runners] drops to 0 *)
+  mutable main_runner : Thread.t option;  (* guarded by reg_mutex *)
   conn_mutex : Mutex.t;
   mutable conns : (Unix.file_descr * Thread.t) list;
 }
@@ -194,7 +197,9 @@ let create cfg =
           stopping = Atomic.make false;
           reg_mutex = Mutex.create ();
           registry = Hashtbl.create 64;
-          runners = [];
+          runners = 0;
+          runners_done = Condition.create ();
+          main_runner = None;
           conn_mutex = Mutex.create ();
           conns = [];
         }
@@ -212,38 +217,83 @@ let set_state entry st =
   Condition.broadcast entry.e_cond;
   Mutex.unlock entry.e_mutex
 
-let run_session t entry job ticket =
+(* A cancelled session whose job no runner has started ends at once. *)
+let withdraw entry =
+  Mutex.lock entry.e_mutex;
+  let job = entry.e_job in
+  Mutex.unlock entry.e_mutex;
+  Option.iter (fun j -> ignore (Peak_util.Pool.cancel j (Aborted "cancelled"))) job
+
+(* The session's thread does its I/O — opening the store, which lets
+   the connection send [Accepted], and publishing the outcome — and hands
+   the tuning itself to the pool as one job, so concurrent sessions
+   compute on separate domains.  A session over its fair share parks in
+   [Admission.charge], giving its domain to other work.  [queued] is the
+   [serve.queue] span begun at admission; it ends when the job starts on
+   a domain. *)
+let run_session t entry job ticket ~queued =
+  Fun.protect ~finally:(fun () ->
+      Mutex.lock t.reg_mutex;
+      t.runners <- t.runners - 1;
+      if t.runners = 0 then Condition.broadcast t.runners_done;
+      Mutex.unlock t.reg_mutex)
+  @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let meta = meta_of_job job in
   let abort () = Atomic.get entry.e_cancel || Atomic.get t.stopping in
+  let check_abort () =
+    if Atomic.get entry.e_cancel then raise (Aborted "cancelled");
+    if Atomic.get t.stopping then raise (Aborted "daemon stopping")
+  in
   let outcome =
     match Peak_store.Session.open_ ~dir:t.cfg.store ~meta () with
-    | Error e -> Failed e
+    | Error e ->
+        Peak_obs.end_span queued;
+        Failed e
     | Ok session ->
         Mutex.lock entry.e_mutex;
         entry.e_resumed <- Peak_store.Session.loaded_events session;
         Condition.broadcast entry.e_cond;
         Mutex.unlock entry.e_mutex;
         let progress ~ratings ~fresh =
-          if Atomic.get entry.e_cancel then raise (Aborted "cancelled");
-          if Atomic.get t.stopping then raise (Aborted "daemon stopping");
+          check_abort ();
           Mutex.lock entry.e_mutex;
           entry.e_ratings <- ratings;
           entry.e_fresh <- fresh;
           Condition.broadcast entry.e_cond;
           Mutex.unlock entry.e_mutex;
-          Admission.charge t.adm ticket ~abort ~fresh ()
+          Admission.charge t.adm ticket ~abort ~fresh ();
+          (* a pause ended by a cancel or a stop ends the session *)
+          check_abort ()
+        in
+        let tune () =
+          Peak_obs.end_span queued;
+          (* a session cancelled, or a daemon stopped, while the job
+             waited for a domain ends before its profile runs *)
+          check_abort ();
+          Driver.tune ~seed:job.Driver.sa_seed ~strategy:job.Driver.sa_strategy
+            ~rating_params:job.Driver.sa_params ~threshold:job.Driver.sa_threshold
+            ?method_:job.Driver.sa_method ~pool:t.pool ~store:session
+            ?faults:job.Driver.sa_faults ~progress job.Driver.sa_benchmark
+            job.Driver.sa_machine job.Driver.sa_dataset
         in
         Fun.protect
-          ~finally:(fun () -> Peak_store.Session.close session)
+          ~finally:(fun () ->
+            (* a withdrawn job never started: its wait ends here *)
+            Peak_obs.end_span queued;
+            (* the registry outlives the session: keep no result twice *)
+            Mutex.lock entry.e_mutex;
+            entry.e_job <- None;
+            Mutex.unlock entry.e_mutex;
+            Peak_store.Session.close session)
           (fun () ->
-            match
-              Driver.tune ~seed:job.Driver.sa_seed ~strategy:job.Driver.sa_strategy
-                ~rating_params:job.Driver.sa_params ~threshold:job.Driver.sa_threshold
-                ?method_:job.Driver.sa_method ~pool:t.pool ~store:session
-                ?faults:job.Driver.sa_faults ~progress job.Driver.sa_benchmark
-                job.Driver.sa_machine job.Driver.sa_dataset
-            with
+            let pending = Peak_util.Pool.submit t.pool tune in
+            Mutex.lock entry.e_mutex;
+            entry.e_job <- Some pending;
+            Mutex.unlock entry.e_mutex;
+            (* a cancel that came before [e_job] was set *)
+            if Atomic.get entry.e_cancel then withdraw entry;
+            match Peak_util.Pool.await pending with
             | r -> Done (Driver.result_summary r)
             | exception Aborted why -> Cancelled why
             | exception e -> Failed (Printexc.to_string e))
@@ -294,11 +344,21 @@ let start_or_attach t job =
                 e_fresh = 0;
                 e_resumed = -1;
                 e_cancel = Atomic.make false;
+                e_job = None;
               }
             in
             Hashtbl.replace t.registry id entry;
-            let th = Thread.create (fun () -> run_session t entry job ticket) () in
-            t.runners <- th :: t.runners;
+            (* the main domain's runner: with the pool's [domains - 1]
+               workers, the daemon computes sessions on [domains]
+               domains.  It starts with the first session, so a daemon
+               start adds no thread to the accept loop's. *)
+            if Option.is_none t.main_runner then
+              t.main_runner <- Some (Thread.create Peak_util.Pool.work t.pool);
+            let queued =
+              Peak_obs.begin_span ~cat:"serve.queue" ~args:[ ("id", id) ] ("queue:" ^ id)
+            in
+            t.runners <- t.runners + 1;
+            ignore (Thread.create (fun () -> run_session t entry job ticket ~queued) ());
             Started entry)
 
 (* ---------------- per-connection protocol ---------------- *)
@@ -485,7 +545,9 @@ let handle_request t ~send ~send_event req =
       match entry with
       | Some e ->
           Atomic.set e.e_cancel true;
-          (* wake it if it is parked in a fair-share wait *)
+          (* end it now if it still waits for a domain, or resume it if
+             it is parked in a fair-share wait *)
+          withdraw e;
           Admission.kick t.adm;
           send (Wire.Cancel_ack id)
       | None -> send (Wire.Error_r ("session " ^ id ^ " is not running")))
@@ -544,20 +606,18 @@ let serve t =
   in
   accept_loop ();
   (* Drain, in dependency order: stop accepting; unblock fair-share
-     waits; let every runner notice [stopping] at its next progress
-     callback and reach a terminal state; then wake the connections
-     (their terminal-state waits have already been broadcast) and join
-     them; finally tear down the shared machinery. *)
+     waits; let every session notice [stopping] — a running job at its
+     next progress callback, a queued one when it starts — and reach a
+     terminal state; then wake the connections (their terminal-state
+     waits have already been broadcast) and join them; finally tear down
+     the shared machinery. *)
   (try Unix.close t.lsock with Unix.Unix_error _ -> ());
   Admission.close t.adm;
-  let runners =
-    Mutex.lock t.reg_mutex;
-    let r = t.runners in
-    t.runners <- [];
-    Mutex.unlock t.reg_mutex;
-    r
-  in
-  List.iter Thread.join runners;
+  Mutex.lock t.reg_mutex;
+  while t.runners > 0 do
+    Condition.wait t.runners_done t.reg_mutex
+  done;
+  Mutex.unlock t.reg_mutex;
   let conns =
     Mutex.lock t.conn_mutex;
     let c = t.conns in
@@ -569,6 +629,8 @@ let serve t =
     conns;
   List.iter (fun (_, th) -> Thread.join th) conns;
   Peak_util.Pool.shutdown t.pool;
+  (* no session starts once [stopping] is set, so no runner appears now *)
+  Option.iter Thread.join t.main_runner;
   (match t.cfg.endpoint with
   | Wire.Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
   | Wire.Tcp _ -> ());

@@ -2,16 +2,25 @@
     store directory, accepting concurrent tuning sessions over a
     Unix-domain or TCP socket speaking the {!Wire} protocol.
 
-    {b Multiplexing.}  Every accepted connection gets a thread; every
-    admitted session gets a runner thread.  All sessions share a single
-    {!Peak_util.Pool}; the driver's results do not depend on the pool,
-    so every session's result is bit-identical to running the same
-    parameters through the batch CLI with [--store].
+    {b Multiplexing.}  Every accepted connection gets a thread.  Every
+    admitted session gets a thread for its I/O — opening its store
+    session, which lets the connection answer [Accepted], and publishing
+    its outcome — and hands {!Peak.Driver.tune} to the shared
+    {!Peak_util.Pool} as one job.  The pool's [domains - 1] worker
+    domains and one runner thread on the daemon's main domain run those
+    jobs, one session each at a time, so [domains] sessions compute side
+    by side and the rest wait for a domain (a [serve.queue] span, from
+    admission to the job's start, when tracing is on).  Each session's
+    rating batches run on the same pool.  The driver's results do not
+    depend on the pool, so every session's result is bit-identical to
+    running the same parameters through the batch CLI with [--store].
 
     {b Admission.}  {!Admission} bounds in-flight sessions and paces
     them to fair-share fresh-rating budgets via {!Peak.Driver.tune}'s
     [progress] hook; a saturated submit is rejected with a retry-after
-    estimate rather than queued.
+    estimate rather than queued.  A session over its budget parks
+    ({!Peak_util.Pool.park}) and its domain takes other work, such as a
+    session waiting for a domain.
 
     {b Store discipline.}  One daemon per store, enforced by an
     exclusive [lockf] lock on [STORE/.peak-tuned.lock]; one journal
@@ -19,10 +28,12 @@
     running id attaches to it) and by {!Peak_store.Session}'s [.writer]
     pidfile.
 
-    {b Crash tolerance.}  SIGTERM mid-session aborts runners at their
-    next progress callback, leaving journals consistent; restarting the
-    daemon and resuming the session replays the journal and completes
-    bit-identically. *)
+    {b Crash tolerance.}  SIGTERM mid-session aborts running and parked
+    sessions at their next progress callback, leaving journals
+    consistent, and ends sessions still waiting for a domain before
+    their profile runs; restarting the daemon and resuming a session
+    replays its journal and completes bit-identically.  A cancel ends a
+    session the same way, and one still waiting for a domain at once. *)
 
 exception Aborted of string
 (** Raised from the driver's progress callback to stop a session
@@ -32,7 +43,9 @@ exception Aborted of string
 type config = {
   store : string;  (** Store directory (created if missing). *)
   endpoint : Wire.endpoint;
-  domains : int;  (** Worker-pool width shared by all sessions. *)
+  domains : int;
+      (** Domains that run sessions and their ratings: the main domain
+          plus [domains - 1] worker domains. *)
   max_sessions : int;  (** Admission capacity. *)
   quantum : int;  (** Fair-share fresh-rating quantum. *)
 }
@@ -48,9 +61,10 @@ val create : config -> (t, string) result
 
 val serve : t -> unit
 (** Run the accept loop until {!stop}, then drain: stop accepting,
-    abort in-flight sessions at their next progress callback, join all
-    runner and connection threads, shut the pool down, and release
-    socket and lock.  Returns when the daemon is fully drained. *)
+    abort in-flight sessions at their next progress callback (queued
+    ones when they start), wait for every session and join the
+    connection threads, shut the pool down, and release socket and
+    lock.  Returns when the daemon is fully drained. *)
 
 val stop : t -> unit
 (** Request shutdown.  Only sets an atomic flag — safe to call from a

@@ -1,18 +1,32 @@
 (** Fixed-size work pool over OCaml 5 domains.
 
-    A pool owns [domains - 1] worker domains plus the calling domain:
-    {!map} submits one task per list element to a shared queue and the
-    caller executes tasks alongside the workers until its own batch has
-    completed.  Because the submitting domain always participates, [map]
-    may be called re-entrantly from inside a task running on the same
-    pool (nested batches) without risk of deadlock: every batch's
-    submitter can drain the queue itself even when all workers are busy.
+    A pool owns [domains - 1] worker domains.  It runs two kinds of work
+    from two queues:
+
+    {b Tasks} are the items of a {!map} batch.  The caller of [map]
+    executes tasks alongside the runners until its own batch has
+    completed.  Because the submitting thread always participates, [map]
+    may be called re-entrantly from inside a task or a job running on the
+    same pool (nested batches) without risk of deadlock: every batch's
+    submitter can drain the queue itself even when all runners are busy.
+
+    {b Jobs} are whole computations handed over with {!submit} and
+    collected with {!await} — a tuning daemon's sessions, each of which
+    maps its rating batches over the same pool.  Only a {e runner} takes
+    a job: a worker domain, or a thread that called {!work}.  A runner
+    takes a queued task before a queued job, and [map]'s helping loop
+    never takes a job, so no job ever runs nested inside another job's
+    batch.  A job may {!park}: it stops, its runner takes other work,
+    and once resumed the job goes back on the queue and continues on
+    whichever runner takes it next.  A pool with no worker domain
+    ([~domains:1]) runs jobs only once some thread calls {!work}.
 
     Results are returned in submission order regardless of which domain
     executed which task.  A task that raises does not poison the pool:
     the remaining tasks of the batch still run to completion, the first
     exception (in submission order) is re-raised to the caller with its
-    backtrace, and the pool stays usable for further batches.
+    backtrace, and the pool stays usable for further batches.  A job
+    that raises re-raises to its {!await}er, with its backtrace.
 
     Determinism contract: if each task computes a value independent of
     the other tasks (no shared mutable state), the result list — and any
@@ -42,9 +56,46 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     tasks raised, re-raises the exception of the earliest-submitted
     failing task after the batch completes. *)
 
+type 'a job
+(** A submitted job's handle. *)
+
+val submit : t -> (unit -> 'a) -> 'a job
+(** Queue [f] as a job for the next idle runner; returns at once.
+    @raise Invalid_argument once the pool is {!shutdown}. *)
+
+val await : 'a job -> 'a
+(** Block until the job has run and return its value, or re-raise its
+    exception with the job's backtrace.  A job still queued when the
+    pool shuts down never starts: its [await] raises [Failure]; so does
+    a parked job resumed after shutdown, from its park. *)
+
+val cancel : 'a job -> exn -> bool
+(** [cancel job e] withdraws a job no runner has started: it never runs,
+    and its [await] raises [e] at once.  Returns [false], and does
+    nothing, once a runner has started the job. *)
+
+val park : ((unit -> unit) -> unit) -> unit
+(** [park register], called from a job, stops the job and frees its
+    runner for other work.  [register resume] runs on the runner once
+    the job has stopped; calling [resume] (once, from any thread, at
+    once or later) queues the job to continue, and [park] returns on the
+    runner that takes it.  Called outside a job, [park] blocks the
+    calling thread until [resume] is called.  Locks held across a park
+    would be released from another thread: hold none. *)
+
+val work : t -> unit
+(** Make the calling thread one more runner: it executes queued tasks
+    and jobs until {!shutdown}, then returns.  A daemon calls it from a
+    thread of its main domain, so that domain computes jobs alongside
+    the [domains - 1] workers. *)
+
 val shutdown : t -> unit
-(** Finish any queued tasks, stop the worker domains and join them.
-    The pool must not be used afterwards.  Idempotent. *)
+(** Fail the queued jobs (those no runner has started, and parked jobs
+    already resumed: these unwind from their park), let the runners
+    finish the work they hold and any queued tasks, then stop the worker
+    domains and join them (a {!work} thread returns and is its starter's
+    to join).  A job parked and not yet resumed is its parker's to
+    resume.  The pool must not be used afterwards.  Idempotent. *)
 
 val run : domains:int -> (t -> 'a) -> 'a
 (** [run ~domains f] brackets [f] between {!create} and {!shutdown},

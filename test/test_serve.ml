@@ -349,11 +349,9 @@ let admission_fair_share () =
 (* Daemon lifecycle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let start_daemon ?(max_sessions = 4) ?(domains = 2) store =
+let start_daemon ?(max_sessions = 4) ?(domains = 2) ?(quantum = 64) store =
   let endpoint = Wire.Unix_sock (Filename.concat store "peak-tuned.sock") in
-  match
-    Daemon.create { Daemon.store; endpoint; domains; max_sessions; quantum = 64 }
-  with
+  match Daemon.create { Daemon.store; endpoint; domains; max_sessions; quantum } with
   | Error e -> Alcotest.failf "daemon: %s" e
   | Ok d -> (d, Thread.create Daemon.serve d, endpoint)
 
@@ -394,19 +392,18 @@ let slow_spec ?(mode = Wire.Wait) seed =
 (* The [-j 1] batch-library reference for a spec, through a store — the
    bit-identity baseline the daemon must match. *)
 let reference_result dir (sp : Wire.submit_spec) =
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
   let b = Option.get (Registry.by_name sp.Wire.sb_benchmark) in
-  let machine = Machine.pentium4 in
-  let strategy =
-    match Strategy.of_string sp.Wire.sb_search with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  let method_ = Option.get (Method.of_string sp.Wire.sb_method) in
+  let machine = ok (Machine.of_string sp.Wire.sb_machine) in
+  let strategy = ok (Strategy.of_string sp.Wire.sb_search) in
+  let method_ = ok (Method.request_of_string sp.Wire.sb_method) in
   let params =
-    { Rating.default_params with Rating.max_invocations = Option.get sp.Wire.sb_cap }
+    match sp.Wire.sb_cap with
+    | None -> Rating.default_params
+    | Some n -> { Rating.default_params with Rating.max_invocations = n }
   in
   let meta =
-    Driver.session_meta ~method_ ~strategy ~rating_params:params ~seed:sp.Wire.sb_seed b
+    Driver.session_meta ?method_ ~strategy ~rating_params:params ~seed:sp.Wire.sb_seed b
       machine Trace.Train
   in
   Peak_util.Pool.run ~domains:1 (fun pool ->
@@ -417,7 +414,7 @@ let reference_result dir (sp : Wire.submit_spec) =
             ~finally:(fun () -> Peak_store.Session.close session)
             (fun () ->
               Driver.result_summary
-                (Driver.tune ~seed:sp.Wire.sb_seed ~strategy ~rating_params:params ~method_
+                (Driver.tune ~seed:sp.Wire.sb_seed ~strategy ~rating_params:params ?method_
                    ~pool ~store:session b machine Trace.Train)))
 
 let daemon_serves_batch_identical () =
@@ -580,6 +577,235 @@ let daemon_stop_resume_identical () =
   | Ok _ -> Alcotest.fail "expected Finished"
   | Error e -> Alcotest.fail e
 
+(* Run [f]; a watchdog stops [daemon] if [f] has not returned after
+   [secs], so that a stalled session fails its case instead of hanging
+   the suite.  Returns [f]'s value and whether the watchdog fired. *)
+let under_watchdog daemon secs f =
+  let finished = Atomic.make false and fired = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. secs in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          Atomic.set fired true;
+          Daemon.stop daemon
+        end)
+      ()
+  in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set finished true;
+        Thread.join watchdog)
+      f
+  in
+  (r, Atomic.get fired)
+
+(* [client submit SWIM -s ie --seed N]: auto picks CBR on sparc2, 75
+   fresh ratings *)
+let swim_ie_spec seed =
+  {
+    Wire.sb_benchmark = "SWIM";
+    sb_machine = "sparc2";
+    sb_dataset = "train";
+    sb_search = "ie";
+    sb_method = "auto";
+    sb_seed = seed;
+    sb_cap = None;
+    sb_mode = Wire.Wait;
+  }
+
+(* One domain runs one session at a time, so two of the three admitted
+   sessions wait for it, holding the fair-share minimum at zero: the
+   running session parks at fresh 3.  Were a parked session to keep its
+   domain, none would finish: a watchdog stops the daemon after 60 s and
+   fails the case. *)
+let daemon_parked_session_frees_domain () =
+  Oracles.with_tmpdir @@ fun dir ->
+  let store = Filename.concat dir "store" in
+  let ((daemon, _, endpoint) as d) = start_daemon ~domains:1 ~max_sessions:3 ~quantum:2 store in
+  let results = Array.make 3 None in
+  let clients =
+    List.init 3 (fun i ->
+        Thread.create
+          (fun () ->
+            let c = connect endpoint in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () -> results.(i) <- Some (Client.run c (Wire.Submit (swim_ie_spec (i + 1))))))
+          ())
+  in
+  let (), stalled = under_watchdog daemon 60.0 (fun () -> List.iter Thread.join clients) in
+  stop_daemon d;
+  if stalled then Alcotest.fail "sessions stalled on parked ones (60 s)";
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (Ok (Client.Finished { result; _ })) ->
+          Alcotest.(check int) "all fresh ratings" 75 result.Peak_store.Codec.r_ratings;
+          let refdir = Filename.concat dir (Printf.sprintf "ref%d" i) in
+          Oracles.check_identical_summary
+            (Printf.sprintf "daemon vs batch (seed %d)" (i + 1))
+            (reference_result refdir (swim_ie_spec (i + 1)))
+            result
+      | Some (Ok _) -> Alcotest.fail "expected Finished"
+      | Some (Error e) -> Alcotest.failf "client %d: %s" i e
+      | None -> Alcotest.fail "client did not run")
+    results
+
+(* The session [sp] detached, once it has rated: it then holds a domain. *)
+let running c sp =
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  match ok (Client.run c (Wire.Submit { sp with Wire.sb_mode = Wire.Detach })) with
+  | Client.Accepted_only { id; _ } ->
+      let rec await_progress tries =
+        if tries = 0 then Alcotest.fail "session never made progress"
+        else
+          match ok (Client.request c (Wire.Status_of id)) with
+          | Wire.Status_r { st_ratings; _ } when st_ratings > 0 -> ()
+          | _ ->
+              Thread.delay 0.01;
+              await_progress (tries - 1)
+      in
+      await_progress 1000;
+      id
+  | _ -> Alcotest.fail "expected detached acceptance"
+
+let state_of c id =
+  match Client.request c (Wire.Status_of id) with
+  | Ok (Wire.Status_r { st_state; _ }) -> st_state
+  | Ok _ -> Alcotest.fail "expected a status"
+  | Error e -> Alcotest.fail e
+
+let cancel c id =
+  match Client.request c (Wire.Cancel_of id) with
+  | Ok (Wire.Cancel_ack _) -> ()
+  | _ -> Alcotest.fail "expected cancel ack"
+
+(* On one domain with the default quantum, a long session more than 64
+   fresh ratings ahead of a cheap newcomer parks and gives the domain
+   to it, so the cheap session finishes, bit-identical to batch, while
+   the long one is still running. *)
+let daemon_cheap_overtakes_long () =
+  Oracles.with_tmpdir @@ fun dir ->
+  let store = Filename.concat dir "store" in
+  let ((daemon, _, endpoint) as d) = start_daemon ~domains:1 store in
+  let c = connect endpoint in
+  Fun.protect ~finally:(fun () ->
+      Client.close c;
+      stop_daemon d)
+  @@ fun () ->
+  let long = running c (slow_spec 60) in
+  let c2 = connect endpoint in
+  let cheap, stalled =
+    under_watchdog daemon 60.0 (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Client.close c2)
+          (fun () -> Client.run c2 (Wire.Submit (cheap_spec 61))))
+  in
+  if stalled then Alcotest.fail "the cheap session waited for a parked one (60 s)";
+  Alcotest.(check bool) "the long session is still running" true (state_of c long = Wire.Running);
+  (match cheap with
+  | Ok (Client.Finished { result; _ }) ->
+      Oracles.check_identical_summary "cheap session vs batch"
+        (reference_result (Filename.concat dir "ref") (cheap_spec 61))
+        result
+  | Ok _ -> Alcotest.fail "expected Finished"
+  | Error e -> Alcotest.fail e);
+  cancel c long
+
+(* A session cancelled while it waits for the only domain ends at once,
+   and its id can be submitted again; one still waiting when the daemon
+   stops ends before its profile runs.  The quantum is too large for the
+   running sessions ever to park, so the waiting ones stay waiting.  The
+   trace holds one tune (and one profile) per session that ran, and
+   every queue span is closed. *)
+let daemon_aborts_queued_sessions () =
+  Oracles.with_tmpdir @@ fun dir ->
+  Peak_obs.install ();
+  Fun.protect ~finally:Peak_obs.uninstall @@ fun () ->
+  let store = Filename.concat dir "store" in
+  let ((_, _, endpoint) as d) =
+    start_daemon ~domains:1 ~max_sessions:3 ~quantum:1_000_000 store
+  in
+  let c = connect endpoint in
+  let stopped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      if not !stopped then stop_daemon d)
+  @@ fun () ->
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let a = running c (slow_spec 50) in
+  let queued_result = ref None in
+  let waiter =
+    Thread.create
+      (fun () ->
+        let c2 = connect endpoint in
+        Fun.protect
+          ~finally:(fun () -> Client.close c2)
+          (fun () -> queued_result := Some (Client.run c2 (Wire.Submit (cheap_spec 51)))))
+      ()
+  in
+  let queued_id = "art-pentium_iv-train-be-rbr-s51" in
+  let rec await_admitted tries =
+    if tries = 0 then Alcotest.fail "the queued session was never admitted"
+    else
+      match ok (Client.request c (Wire.Status_of queued_id)) with
+      | Wire.Status_r { st_state = Wire.Running; _ } -> ()
+      | _ ->
+          Thread.delay 0.01;
+          await_admitted (tries - 1)
+  in
+  await_admitted 1000;
+  cancel c queued_id;
+  Thread.join waiter;
+  (match !queued_result with
+  | Some (Error e) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cancelled while queued (%s)" e)
+        true
+        (Oracles.contains ~sub:"cancelled: cancelled" e)
+  | _ -> Alcotest.fail "the cancelled queued session must end in an error");
+  Alcotest.(check bool) "ended before the running session gave up the domain" true
+    (state_of c a = Wire.Running);
+  (* the cancelled id runs again once resubmitted *)
+  (match ok (Client.run c (Wire.Submit (cheap_spec ~mode:Wire.Detach 51))) with
+  | Client.Accepted_only { id; _ } -> Alcotest.(check string) "same id" queued_id id
+  | _ -> Alcotest.fail "expected the resubmit to be accepted");
+  cancel c a;
+  (match ok (Client.run c (Wire.Submit (cheap_spec 51))) with
+  | Client.Finished { result; _ } ->
+      Oracles.check_identical_summary "resubmitted session vs batch"
+        (reference_result (Filename.concat dir "ref") (cheap_spec 51))
+        result
+  | _ -> Alcotest.fail "expected the resubmitted session to finish");
+  (* stop: a session admitted behind a running one ends at drain *)
+  let _ = running c (slow_spec 52) in
+  (match ok (Client.run c (Wire.Submit (cheap_spec ~mode:Wire.Detach 53))) with
+  | Client.Accepted_only _ -> ()
+  | _ -> Alcotest.fail "expected detached acceptance");
+  stopped := true;
+  stop_daemon d;
+  let s = Option.get (Peak_obs.snapshot ()) in
+  let spans cat =
+    match List.assoc_opt cat s.Peak_obs.span_stats with Some st -> st.Peak_obs.s_count | None -> 0
+  in
+  (* the batch references above tuned one more each *)
+  Alcotest.(check int) "only the sessions that ran tuned" 4 (spans "tune");
+  Alcotest.(check int) "only the sessions that ran profiled" 4 (spans "phase.profile");
+  Alcotest.(check int) "every admitted session's queue span closed" 5 (spans "serve.queue");
+  Alcotest.(check int) "no span left open" 0 s.Peak_obs.open_spans;
+  match Peak_store.Session.load_info ~dir:store ~id:"art-pentium_iv-train-be-rbr-s53" with
+  | Ok info ->
+      Alcotest.(check int) "the stopped queued session journaled nothing" 0
+        info.Peak_store.Session.info_events;
+      Alcotest.(check bool) "and is not done" true (info.Peak_store.Session.info_result = None)
+  | Error e -> Alcotest.fail e
+
 let daemon_survives_malformed_frames () =
   Oracles.with_tmpdir @@ fun dir ->
   let store = Filename.concat dir "store" in
@@ -709,6 +935,12 @@ let suites =
           daemon_rejects_when_saturated;
         Alcotest.test_case "stop mid-session, restart, resume bit-identical" `Quick
           daemon_stop_resume_identical;
+        Alcotest.test_case "a session over its fair share gives its domain back" `Quick
+          daemon_parked_session_frees_domain;
+        Alcotest.test_case "a cheap session overtakes a long one on one domain" `Quick
+          daemon_cheap_overtakes_long;
+        Alcotest.test_case "cancel or stop of a queued session skips its profile" `Quick
+          daemon_aborts_queued_sessions;
         Alcotest.test_case "malformed frames get typed errors" `Quick
           daemon_survives_malformed_frames;
         Alcotest.test_case "one daemon per store" `Quick store_lock_is_exclusive;
