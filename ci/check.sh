@@ -92,22 +92,26 @@ done
 one_line_error "unknown machine" "unknown machine vax" "$BIN" tune ART -m vax
 one_line_error "unknown dataset" "unknown dataset big" "$BIN" tune ART -d big
 
-# interrupt SIGNAL PID SESSION_DIR: signal PID once the session's
-# journal holds 64 lines (it flushes every 32 appends), wait for PID
-# into $status, and require that the signal landed before the session
-# wrote result.json.  SESSION_DIR may be a glob; it is matched while
-# waiting.
+# interrupt SESSION_DIR COMMAND...: run COMMAND (a signal to the
+# process tuning the session, or a cancel) once the session's journal
+# holds 64 lines (it flushes every 32 appends).  SESSION_DIR may be a
+# glob; it is matched while waiting.
 interrupt() {
+  dir=$1
+  shift
   i=0
-  until [ "$(cat $3/journal.jsonl 2> /dev/null | wc -l)" -ge 64 ]; do
+  until [ "$(cat $dir/journal.jsonl 2> /dev/null | wc -l)" -ge 64 ]; do
     i=$((i + 1))
-    [ "$i" -le 500 ] || fail "$3 never journaled 64 lines"
+    [ "$i" -le 500 ] || fail "$dir never journaled 64 lines"
     sleep 0.01
   done
-  kill -"$1" "$2" || true
-  status=0
-  wait "$2" 2> /dev/null || status=$?
-  ! ls $3/result.json > /dev/null 2>&1 || fail "SIG$1 landed after $3 wrote result.json"
+  "$@" > /dev/null || fail "$*: failed"
+}
+
+# unfinished SESSION_DIR: an interrupted session, once it has ended, has
+# not written result.json.
+unfinished() {
+  ! ls $1/result.json > /dev/null 2>&1 || fail "the interruption landed after $1 wrote result.json"
 }
 
 # the lines of a tuning result, as `tune` and `session resume` print them
@@ -123,7 +127,9 @@ kill_resume() {
   shift
   "$BIN" tune "$@" --store "$SMOKE/$label-ref" | result_lines > "$SMOKE/$label-ref.out"
   "$BIN" tune "$@" --store "$SMOKE/$label" > /dev/null 2>&1 &
-  interrupt KILL $! "$SMOKE/$label/sessions/*"
+  interrupt "$SMOKE/$label/sessions/*" kill -KILL $!
+  wait $! 2> /dev/null || true
+  unfinished "$SMOKE/$label/sessions/*"
   id=$("$BIN" session list --store "$SMOKE/$label" -q)
   "$BIN" session resume --store "$SMOKE/$label" "$id" | result_lines > "$SMOKE/$label.out"
   diff "$SMOKE/$label-ref.out" "$SMOKE/$label.out" \
@@ -237,8 +243,11 @@ for b in ART SWIM; do
 done
 "$BIN" client submit SWIM --daemon "$SOCK" -m pentium4 --search random2000 \
   --rating-cap 100 --seed 5 --detach > /dev/null
-interrupt TERM "$tuned_pid" "$SMOKE/serve/sessions/*random2000*"
+interrupt "$SMOKE/serve/sessions/*random2000*" kill -TERM "$tuned_pid"
+status=0
+wait "$tuned_pid" || status=$?
 [ "$status" -eq 0 ] || fail "the daemon exited $status after SIGTERM"
+unfinished "$SMOKE/serve/sessions/*random2000*"
 grep -q drained "$SMOKE/daemon1.log" || fail "the daemon did not drain cleanly"
 echo "   SIGTERM drained the daemon mid-session"
 "$BIN" trace summarize "$SMOKE/serve-trace.json" > /dev/null \
@@ -257,6 +266,30 @@ wait "$tuned_pid" || true
 diff "$SMOKE/serve-resumed.out" "$SMOKE/serve-uninterrupted.out" \
   || fail "the resumed daemon session differs from the uninterrupted run"
 echo "   resumed daemon session identical to the uninterrupted run"
+# A cancel mid-session ends the session and keeps its journal: its
+# status reads idle, and `client resume` finishes it identical to the
+# batch CLI.
+start_tuned "$SMOKE/serve-cancel" "$SMOKE/daemon5.log"
+cid=$("$BIN" client submit SWIM --daemon "$SOCK" -m pentium4 --search random2000 \
+  --rating-cap 100 --seed 6 --detach | sed -n 's/^session: //p')
+interrupt "$SMOKE/serve-cancel/sessions/$cid" "$BIN" client cancel --daemon "$SOCK" "$cid"
+i=0
+until "$BIN" client status --daemon "$SOCK" "$cid" | grep -q '^state: idle$'; do
+  i=$((i + 1))
+  [ "$i" -le 300 ] || { kill -TERM "$tuned_pid"; fail "the cancelled $cid never read idle in 30 s"; }
+  sleep 0.1
+done
+unfinished "$SMOKE/serve-cancel/sessions/$cid"
+echo "   a cancelled session reads idle"
+"$BIN" client resume --daemon "$SOCK" "$cid" > /dev/null
+kill -TERM "$tuned_pid"
+wait "$tuned_pid" || true
+"$BIN" tune SWIM -m pentium4 --search random2000 --rating-cap 100 --seed 6 \
+  --store "$SMOKE/cancel-batch" > /dev/null
+cmp "$SMOKE/serve-cancel/sessions/$cid/result.json" \
+  "$SMOKE/cancel-batch/sessions/$cid/result.json" \
+  || fail "the session resumed after its cancel differs from the batch CLI"
+echo "   resumed after the cancel, identical to the batch CLI"
 # A session over its fair share gives its domain back: of three sessions
 # admitted to a two-domain daemon with a quantum of 2 fresh ratings, one
 # waits for a domain and holds the minimum at zero, so the two running

@@ -1,5 +1,6 @@
 type ticket = {
   tk_serial : int;
+  tk_base : int;  (* the band's minimum at admission, where a newcomer joins *)
   mutable tk_fresh : int;
   (* a session parked over budget: its abort hook and its resume *)
   mutable tk_parked : ((unit -> bool) * (unit -> unit)) option;
@@ -50,6 +51,12 @@ let retry_after t =
   let per_session = if t.ewma > 0.0 then t.ewma else 0.05 in
   Float.max 0.01 (per_session /. float_of_int t.capacity)
 
+(* A ticket's place in the fair-share band: the fresh ratings it has
+   charged, counted from where it joined. *)
+let level tk = tk.tk_base + tk.tk_fresh
+
+let min_level t = Hashtbl.fold (fun _ tk acc -> min acc (level tk)) t.active max_int
+
 let try_admit t =
   locked t @@ fun () ->
   if t.closed || Hashtbl.length t.active >= t.capacity then begin
@@ -59,23 +66,19 @@ let try_admit t =
   end
   else begin
     t.serial <- t.serial + 1;
-    let tk = { tk_serial = t.serial; tk_fresh = 0; tk_parked = None } in
+    let tk_base = if Hashtbl.length t.active = 0 then 0 else min_level t in
+    let tk = { tk_serial = t.serial; tk_base; tk_fresh = 0; tk_parked = None } in
     Hashtbl.replace t.active tk.tk_serial tk;
     Peak_obs.count "serve.admitted";
     note_inflight t;
     Admitted tk
   end
 
-let min_active_fresh t =
-  Hashtbl.fold (fun _ tk acc -> min acc tk.tk_fresh) t.active max_int
-
-let default_abort () = false
-
 (* Callers hold the mutex. *)
 let over_budget t tk abort =
   (not t.closed) && (not (abort ()))
   && Hashtbl.mem t.active tk.tk_serial
-  && tk.tk_fresh > min_active_fresh t + t.quantum
+  && level tk > min_level t + t.quantum
 
 (* Callers hold the mutex: take the resumes of every parked ticket now
    within budget, for the caller to run once it has let go of the
@@ -100,7 +103,7 @@ let changing t f =
   List.iter (fun resume -> resume ()) wakes;
   r
 
-let charge t tk ?(abort = default_abort) ~fresh () =
+let charge t tk ~abort ~fresh =
   (* this ticket's advance may have raised the minimum *)
   let over =
     changing t (fun () ->

@@ -10,23 +10,27 @@
     reject-with-retry-after instead of queueing unboundedly.
 
     {b Fair-share rating budgets.}  An admitted session calls {!charge}
-    with its cumulative count of {e freshly computed} ratings (store
-    replays are free — charging them would starve resumed sessions).
-    The call pauses the session while it is more than [quantum] fresh
-    ratings ahead of the least-advanced admitted session, so concurrent
-    sessions drain the shared pool at matched rates and a cheap session
-    is never starved by a long one.  A new ticket joins at zero, so the
-    converse does not hold: a long session waits behind every newcomer,
-    and a steady stream of cheap sessions starves it.  A session
-    charging from a {!Peak_util.Pool} job pauses by
-    {!Peak_util.Pool.park}ing: its runner takes other work — the session
-    still waiting for a domain that holds the minimum down, or other
-    sessions' rating tasks — so a pause never keeps a domain from work
-    that could use it.  Called outside a job, [charge] blocks its
-    thread.  The least-advanced session never pauses, which
-    makes the discipline deadlock-free; and because pausing only ever
-    delays work without reordering it, the per-session results remain
-    bit-identical to solo runs.
+    from its {!Peak_util.Pool} job with its cumulative count of {e
+    freshly computed} ratings (store replays are free — charging them
+    would starve resumed sessions).  A ticket's level is that count plus
+    its base, the least level among the admitted tickets when it was
+    admitted (0 in an empty band): a newcomer joins the band at its
+    current minimum, not at zero.  The call pauses the session while its
+    level is more than [quantum] above the least admitted level, so
+    concurrent sessions advance at matched rates.  A cheap session is
+    never starved by a long one.  A newcomer joins level with the
+    least-advanced session, so it lowers no session's budget, and the
+    minimum rises with every newcomer's progress: a steady stream of
+    cheap sessions does not starve a long one either.  The price is
+    that a cheap session admitted beside a long one waits while the
+    long one spends its quantum.  A session pauses by {!Peak_util.Pool.park}ing: its
+    runner takes other work — the session still waiting for a domain
+    that holds the minimum down, or other sessions' rating tasks — so a
+    pause never keeps a domain from work that could use it.  The
+    least-advanced session never pauses, which makes the discipline
+    deadlock-free; and because pausing only ever delays work without
+    reordering it, the per-session results remain bit-identical to solo
+    runs.
 
     All entry points are thread- and domain-safe. *)
 
@@ -47,13 +51,13 @@ val try_admit : t -> verdict
     the controller is {!close}d.  Updates the [serve.inflight] gauge and
     the [serve.admitted] / [serve.rejected] counters. *)
 
-val charge :
-  t -> ticket -> ?abort:(unit -> bool) -> fresh:int -> unit -> unit
+val charge : t -> ticket -> abort:(unit -> bool) -> fresh:int -> unit
 (** Record the session's cumulative fresh-rating count and pause while
-    it is over fair-share budget.  Returns promptly once the controller
-    is {!close}d, the ticket {!release}d, or [abort] turns true
-    (re-evaluated on every {!kick}/state change — the cancellation
-    hook). *)
+    it is over fair-share budget.  Call it from inside a
+    {!Peak_util.Pool} job: a pause parks the job.  Returns promptly once
+    the controller is {!close}d, the ticket {!release}d, or [abort]
+    turns true (re-evaluated on every {!kick}/state change — the
+    cancellation hook). *)
 
 val release : t -> ticket -> wall:float -> unit
 (** Return the ticket, folding the session's wall-clock seconds into the

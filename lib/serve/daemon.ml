@@ -19,23 +19,30 @@ type config = {
   quantum : int;
 }
 
-type session_state =
-  | Running
+type outcome =
   | Done of Peak_store.Codec.session_result
   | Failed of string
   | Cancelled of string
 
+(* A running session.  The registry holds exactly these: the session's
+   one [finish] drops its entry and then hands the outcome to the
+   connections still waiting on it. *)
 type entry = {
   e_id : string;
+  e_ticket : Admission.ticket;
+  e_admitted : float;  (* wall clock at admission *)
+  e_queued : int;  (* the [serve.queue] span, from admission to the job's start *)
   e_mutex : Mutex.t;
   e_cond : Condition.t;
-  mutable e_state : session_state;
+  mutable e_outcome : outcome option;  (* [None] until [finish] *)
   mutable e_ratings : int;
   mutable e_fresh : int;
-  mutable e_resumed : int;  (* -1 until the session journal is open *)
+  mutable e_session : Peak_store.Session.t option;  (* once its journal is open *)
+  mutable e_job : Peak_util.Pool.job option;  (* once submitted *)
   e_cancel : bool Atomic.t;
-  mutable e_job : Driver.result Peak_util.Pool.job option;  (* once submitted *)
 }
+
+module Ids = Map.Make (String)
 
 type t = {
   cfg : config;
@@ -44,11 +51,9 @@ type t = {
   adm : Admission.t;
   lsock : Unix.file_descr;
   stopping : bool Atomic.t;
-  reg_mutex : Mutex.t;
-  registry : (string, entry) Hashtbl.t;
-  mutable runners : int;  (* live session threads, guarded by reg_mutex *)
-  runners_done : Condition.t;  (* broadcast when [runners] drops to 0 *)
-  mutable main_runner : Thread.t option;  (* guarded by reg_mutex *)
+  submit_mutex : Mutex.t;  (* serialises admissions *)
+  registry : entry Ids.t Atomic.t;  (* by session id *)
+  mutable main_runner : Thread.t option;  (* guarded by submit_mutex *)
   conn_mutex : Mutex.t;
   mutable conns : (Unix.file_descr * Thread.t) list;
 }
@@ -195,10 +200,8 @@ let create cfg =
           adm = Admission.create ~capacity:cfg.max_sessions ~quantum:cfg.quantum;
           lsock;
           stopping = Atomic.make false;
-          reg_mutex = Mutex.create ();
-          registry = Hashtbl.create 64;
-          runners = 0;
-          runners_done = Condition.create ();
+          submit_mutex = Mutex.create ();
+          registry = Atomic.make Ids.empty;
           main_runner = None;
           conn_mutex = Mutex.create ();
           conns = [];
@@ -211,96 +214,96 @@ let endpoint t = t.cfg.endpoint
 
 (* ---------------- running one session ---------------- *)
 
-let set_state entry st =
+(* The registry is an immutable map behind an atomic, so that a job
+   drops its session's entry without a lock.  The connections' threads
+   share one domain (the one that runs [serve]); a runner waiting for a
+   lock one of them holds would wait, idle, until that thread got its
+   domain's runtime lock back. *)
+let rec update t f =
+  let m = Atomic.get t.registry in
+  if not (Atomic.compare_and_set t.registry m (f m)) then update t f
+
+(* End a session, once: by its job, by the [Cancel] that withdrew the
+   job before a runner started it, or by its connection when the store
+   refused to open it.  Only the entry bound to an id is ever dropped
+   under it: a submit binds an id only while it is unbound. *)
+let finish t entry outcome =
+  Peak_obs.end_span entry.e_queued;
+  Option.iter Peak_store.Session.close entry.e_session;
+  Admission.release t.adm entry.e_ticket ~wall:(Unix.gettimeofday () -. entry.e_admitted);
+  Peak_obs.count "serve.sessions";
+  update t (Ids.remove entry.e_id);
   Mutex.lock entry.e_mutex;
-  entry.e_state <- st;
+  entry.e_outcome <- Some outcome;
   Condition.broadcast entry.e_cond;
   Mutex.unlock entry.e_mutex
 
 (* A cancelled session whose job no runner has started ends at once. *)
-let withdraw entry =
+let withdraw t entry =
   Mutex.lock entry.e_mutex;
   let job = entry.e_job in
   Mutex.unlock entry.e_mutex;
-  Option.iter (fun j -> ignore (Peak_util.Pool.cancel j (Aborted "cancelled"))) job
+  match job with
+  | Some j when Peak_util.Pool.cancel j -> finish t entry (Cancelled "cancelled")
+  | _ -> ()
 
-(* The session's thread does its I/O — opening the store, which lets
-   the connection send [Accepted], and publishing the outcome — and hands
-   the tuning itself to the pool as one job, so concurrent sessions
-   compute on separate domains.  A session over its fair share parks in
-   [Admission.charge], giving its domain to other work.  [queued] is the
-   [serve.queue] span begun at admission; it ends when the job starts on
-   a domain. *)
-let run_session t entry job ticket ~queued =
-  Fun.protect ~finally:(fun () ->
-      Mutex.lock t.reg_mutex;
-      t.runners <- t.runners - 1;
-      if t.runners = 0 then Condition.broadcast t.runners_done;
-      Mutex.unlock t.reg_mutex)
-  @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let meta = meta_of_job job in
+(* The session's one job: it tunes on whichever domain takes it, then
+   ends the session.  A session over its fair share parks in
+   [Admission.charge], giving its domain to other work. *)
+let session_job t entry job session () =
+  Peak_obs.end_span entry.e_queued;
   let abort () = Atomic.get entry.e_cancel || Atomic.get t.stopping in
   let check_abort () =
     if Atomic.get entry.e_cancel then raise (Aborted "cancelled");
     if Atomic.get t.stopping then raise (Aborted "daemon stopping")
   in
-  let outcome =
-    match Peak_store.Session.open_ ~dir:t.cfg.store ~meta () with
-    | Error e ->
-        Peak_obs.end_span queued;
-        Failed e
-    | Ok session ->
-        Mutex.lock entry.e_mutex;
-        entry.e_resumed <- Peak_store.Session.loaded_events session;
-        Condition.broadcast entry.e_cond;
-        Mutex.unlock entry.e_mutex;
-        let progress ~ratings ~fresh =
-          check_abort ();
-          Mutex.lock entry.e_mutex;
-          entry.e_ratings <- ratings;
-          entry.e_fresh <- fresh;
-          Condition.broadcast entry.e_cond;
-          Mutex.unlock entry.e_mutex;
-          Admission.charge t.adm ticket ~abort ~fresh ();
-          (* a pause ended by a cancel or a stop ends the session *)
-          check_abort ()
-        in
-        let tune () =
-          Peak_obs.end_span queued;
-          (* a session cancelled, or a daemon stopped, while the job
-             waited for a domain ends before its profile runs *)
-          check_abort ();
-          Driver.tune ~seed:job.Driver.sa_seed ~strategy:job.Driver.sa_strategy
+  let progress ~ratings ~fresh =
+    check_abort ();
+    Mutex.lock entry.e_mutex;
+    entry.e_ratings <- ratings;
+    entry.e_fresh <- fresh;
+    Condition.broadcast entry.e_cond;
+    Mutex.unlock entry.e_mutex;
+    Admission.charge t.adm entry.e_ticket ~abort ~fresh;
+    (* a pause ended by a cancel or a stop ends the session *)
+    check_abort ()
+  in
+  finish t entry
+    (match
+       (* a session cancelled, or a daemon stopped, while the job waited
+          for a domain ends before its profile runs *)
+       check_abort ();
+       Driver.result_summary
+         (Driver.tune ~seed:job.Driver.sa_seed ~strategy:job.Driver.sa_strategy
             ~rating_params:job.Driver.sa_params ~threshold:job.Driver.sa_threshold
             ?method_:job.Driver.sa_method ~pool:t.pool ~store:session
             ?faults:job.Driver.sa_faults ~progress job.Driver.sa_benchmark
-            job.Driver.sa_machine job.Driver.sa_dataset
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            (* a withdrawn job never started: its wait ends here *)
-            Peak_obs.end_span queued;
-            (* the registry outlives the session: keep no result twice *)
-            Mutex.lock entry.e_mutex;
-            entry.e_job <- None;
-            Mutex.unlock entry.e_mutex;
-            Peak_store.Session.close session)
-          (fun () ->
-            let pending = Peak_util.Pool.submit t.pool tune in
-            Mutex.lock entry.e_mutex;
-            entry.e_job <- Some pending;
-            Mutex.unlock entry.e_mutex;
-            (* a cancel that came before [e_job] was set *)
-            if Atomic.get entry.e_cancel then withdraw entry;
-            match Peak_util.Pool.await pending with
-            | r -> Done (Driver.result_summary r)
-            | exception Aborted why -> Cancelled why
-            | exception e -> Failed (Printexc.to_string e))
-  in
-  Admission.release t.adm ticket ~wall:(Unix.gettimeofday () -. t0);
-  Peak_obs.count "serve.sessions";
-  set_state entry outcome
+            job.Driver.sa_machine job.Driver.sa_dataset)
+     with
+    | r -> Done r
+    | exception Aborted why -> Cancelled why
+    | exception e -> Failed (Printexc.to_string e))
+
+(* The admitting connection opens the session's store, so that it can
+   answer [Accepted] with the replay count, then hands the session to
+   the pool as one job; the pool's runners — its [domains - 1] workers
+   and the main domain's [Pool.work] thread — compute [domains] sessions
+   side by side. *)
+let open_session t entry job =
+  match Peak_store.Session.open_ ~dir:t.cfg.store ~meta:(meta_of_job job) () with
+  | Error e -> finish t entry (Failed e)
+  | exception e -> finish t entry (Failed (Printexc.to_string e))
+  | Ok session ->
+      Mutex.lock entry.e_mutex;
+      entry.e_session <- Some session;
+      Condition.broadcast entry.e_cond;
+      Mutex.unlock entry.e_mutex;
+      let pending = Peak_util.Pool.submit t.pool (session_job t entry job session) in
+      Mutex.lock entry.e_mutex;
+      entry.e_job <- Some pending;
+      Mutex.unlock entry.e_mutex;
+      (* a cancel that came before [e_job] was set *)
+      if Atomic.get entry.e_cancel then withdraw t entry
 
 type admit_outcome =
   | Started of entry
@@ -308,27 +311,16 @@ type admit_outcome =
   | Busy of float
   | Refused of string
 
-(* One registry slot per session id: a submit for a running id attaches
-   to it (no second admission charge); a submit for a terminal or
-   unknown id re-runs it — with the store, a re-run of a completed
-   session replays entirely and finishes in milliseconds, so re-submit
-   is a cheap idempotent "ensure done". *)
+(* A submit for a running id attaches to it (no second admission
+   charge); any other submit starts the session — with the store, a
+   re-run of a completed session replays entirely and finishes in
+   milliseconds, so re-submit is a cheap idempotent "ensure done". *)
 let start_or_attach t job =
   let id = (meta_of_job job).Peak_store.Codec.m_id in
-  Mutex.lock t.reg_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.reg_mutex) @@ fun () ->
+  Mutex.protect t.submit_mutex @@ fun () ->
   if Atomic.get t.stopping then Refused "daemon is stopping"
   else
-    let running =
-      match Hashtbl.find_opt t.registry id with
-      | Some e ->
-          Mutex.lock e.e_mutex;
-          let r = e.e_state = Running in
-          Mutex.unlock e.e_mutex;
-          if r then Some e else None
-      | None -> None
-    in
-    match running with
+    match Ids.find_opt id (Atomic.get t.registry) with
     | Some e -> Attached e
     | None -> (
         match Admission.try_admit t.adm with
@@ -337,65 +329,66 @@ let start_or_attach t job =
             let entry =
               {
                 e_id = id;
+                e_ticket = ticket;
+                e_admitted = Unix.gettimeofday ();
+                e_queued =
+                  Peak_obs.begin_span ~cat:"serve.queue" ~args:[ ("id", id) ] ("queue:" ^ id);
                 e_mutex = Mutex.create ();
                 e_cond = Condition.create ();
-                e_state = Running;
+                e_outcome = None;
                 e_ratings = 0;
                 e_fresh = 0;
-                e_resumed = -1;
-                e_cancel = Atomic.make false;
+                e_session = None;
                 e_job = None;
+                e_cancel = Atomic.make false;
               }
             in
-            Hashtbl.replace t.registry id entry;
+            update t (Ids.add id entry);
             (* the main domain's runner: with the pool's [domains - 1]
                workers, the daemon computes sessions on [domains]
                domains.  It starts with the first session, so a daemon
                start adds no thread to the accept loop's. *)
             if Option.is_none t.main_runner then
               t.main_runner <- Some (Thread.create Peak_util.Pool.work t.pool);
-            let queued =
-              Peak_obs.begin_span ~cat:"serve.queue" ~args:[ ("id", id) ] ("queue:" ^ id)
-            in
-            t.runners <- t.runners + 1;
-            ignore (Thread.create (fun () -> run_session t entry job ticket ~queued) ());
             Started entry)
 
 (* ---------------- per-connection protocol ---------------- *)
 
 let wire_state = function
-  | Running -> Wire.Running
   | Done _ -> Wire.Done
   | Failed _ -> Wire.Failed
   | Cancelled _ -> Wire.Cancelled
 
-(* wait until the runner has opened the session (so Accepted reports an
-   accurate replay count) or died trying *)
+(* Wait until the session is open, for its replay count (what Accepted
+   reports), or has ended without opening, for its outcome. *)
 let wait_open entry =
   Mutex.lock entry.e_mutex;
-  while entry.e_resumed < 0 && entry.e_state = Running do
-    Condition.wait entry.e_cond entry.e_mutex
-  done;
-  let resumed = entry.e_resumed and state = entry.e_state in
+  let rec wait () =
+    match (entry.e_session, entry.e_outcome) with
+    | Some session, _ -> Ok (Peak_store.Session.loaded_events session)
+    | None, Some outcome -> Error outcome
+    | None, None ->
+        Condition.wait entry.e_cond entry.e_mutex;
+        wait ()
+  in
+  let r = wait () in
   Mutex.unlock entry.e_mutex;
-  (resumed, state)
+  r
 
-let wait_terminal entry =
+let wait_outcome entry =
   Mutex.lock entry.e_mutex;
-  while entry.e_state = Running do
+  while Option.is_none entry.e_outcome do
     Condition.wait entry.e_cond entry.e_mutex
   done;
-  let state = entry.e_state in
+  let outcome = Option.get entry.e_outcome in
   Mutex.unlock entry.e_mutex;
-  state
+  outcome
 
-let send_final send entry state =
-  match state with
+let send_final send entry = function
   | Done r -> send (Wire.Result_r { rr_id = entry.e_id; rr_result = r })
   | Failed msg -> send (Wire.Error_r (Printf.sprintf "session %s failed: %s" entry.e_id msg))
   | Cancelled why ->
       send (Wire.Error_r (Printf.sprintf "session %s cancelled: %s" entry.e_id why))
-  | Running -> assert false
 
 (* Stream progress as obs-shaped events: a counter frame whenever the
    session's rating count advances, closed by a span frame.  The socket
@@ -404,18 +397,18 @@ let stream_progress send_event entry =
   let t0 = Unix.gettimeofday () in
   let rec loop last =
     Mutex.lock entry.e_mutex;
-    while entry.e_state = Running && entry.e_ratings = last do
+    while Option.is_none entry.e_outcome && entry.e_ratings = last do
       Condition.wait entry.e_cond entry.e_mutex
     done;
     let ratings = entry.e_ratings
     and fresh = entry.e_fresh
-    and state = entry.e_state in
+    and outcome = entry.e_outcome in
     Mutex.unlock entry.e_mutex;
     if ratings <> last then
       send_event (Wire.Ev_counter { ec_name = "session.ratings"; ec_value = ratings });
-    match state with
-    | Running -> loop ratings
-    | terminal ->
+    match outcome with
+    | None -> loop ratings
+    | Some o ->
         send_event
           (Wire.Ev_span
              {
@@ -425,12 +418,31 @@ let stream_progress send_event entry =
                  [
                    ("ratings", string_of_int ratings);
                    ("fresh", string_of_int fresh);
-                   ("state", Wire.state_to_string (wire_state terminal));
+                   ("state", Wire.state_to_string (wire_state o));
                  ];
              });
-        terminal
+        o
   in
   loop 0
+
+(* Answer a submit or resume admitted (or attached) as [entry]: [Accepted]
+   once the session is open, then what [mode] asks for. *)
+let follow ~send ~send_event ~mode entry =
+  match wait_open entry with
+  | Error outcome -> send_final send entry outcome
+  | Ok resumed -> (
+      send (Wire.Accepted { ac_id = entry.e_id; ac_resumed = resumed });
+      match mode with
+      | Wire.Detach -> ()
+      | Wire.Wait -> send_final send entry (wait_outcome entry)
+      | Wire.Stream ->
+          send_event
+            (Wire.Ev_instant
+               {
+                 ei_name = "session.admitted";
+                 ei_args = [ ("id", entry.e_id); ("resumed", string_of_int resumed) ];
+               });
+          send_final send entry (stream_progress send_event entry))
 
 let run_job t ~send ~send_event ~mode job =
   match start_or_attach t job with
@@ -439,41 +451,23 @@ let run_job t ~send ~send_event ~mode job =
       send
         (Wire.Rejected
            { rj_id = (meta_of_job job).Peak_store.Codec.m_id; rj_retry_after = retry_after })
-  | Started entry | Attached entry -> (
-      match wait_open entry with
-      | -1, state ->
-          (* the session never opened (store refused) *)
-          send_final send entry state
-      | resumed, _ -> (
-          send (Wire.Accepted { ac_id = entry.e_id; ac_resumed = resumed });
-          match mode with
-          | Wire.Detach -> ()
-          | Wire.Wait -> send_final send entry (wait_terminal entry)
-          | Wire.Stream ->
-              send_event
-                (Wire.Ev_instant
-                   {
-                     ei_name = "session.admitted";
-                     ei_args =
-                       [ ("id", entry.e_id); ("resumed", string_of_int resumed) ];
-                   });
-              send_final send entry (stream_progress send_event entry)))
+  | Started entry ->
+      open_session t entry job;
+      follow ~send ~send_event ~mode entry
+  | Attached entry -> follow ~send ~send_event ~mode entry
+
+(* The registry holds the running sessions; an ended one's state is in
+   the store, which knows only done or idle. *)
+let find_running t id = Ids.find_opt id (Atomic.get t.registry)
 
 let status_of t id =
-  let entry =
-    Mutex.lock t.reg_mutex;
-    let e = Hashtbl.find_opt t.registry id in
-    Mutex.unlock t.reg_mutex;
-    e
-  in
-  match entry with
+  match find_running t id with
   | Some e ->
       Mutex.lock e.e_mutex;
-      let st = wire_state e.e_state and ratings = e.e_ratings in
+      let ratings = e.e_ratings in
       Mutex.unlock e.e_mutex;
-      Ok { Wire.st_id = id; st_state = st; st_ratings = ratings }
+      Ok { Wire.st_id = id; st_state = Wire.Running; st_ratings = ratings }
   | None ->
-      (* not in this daemon's registry: consult the store *)
       let* info = Peak_store.Session.load_info ~dir:t.cfg.store ~id in
       let st =
         match info.Peak_store.Session.info_result with
@@ -514,40 +508,21 @@ let handle_request t ~send ~send_event req =
       | Ok st -> send (Wire.Status_r st)
       | Error e -> send (Wire.Error_r e))
   | Wire.Stream_of id -> (
-      let entry =
-        Mutex.lock t.reg_mutex;
-        let e = Hashtbl.find_opt t.registry id in
-        Mutex.unlock t.reg_mutex;
-        e
-      in
-      match entry with
-      | Some e -> (
-          Mutex.lock e.e_mutex;
-          let state = e.e_state in
-          Mutex.unlock e.e_mutex;
-          match state with
-          | Running -> send_final send e (stream_progress send_event e)
-          | terminal -> send_final send e terminal)
+      match find_running t id with
+      | Some e -> send_final send e (stream_progress send_event e)
       | None -> (
-          (* maybe it completed in a previous daemon life *)
           match Peak_store.Session.load_info ~dir:t.cfg.store ~id with
           | Ok { Peak_store.Session.info_result = Some r; _ } ->
               send (Wire.Result_r { rr_id = id; rr_result = r })
           | Ok _ -> send (Wire.Error_r ("session " ^ id ^ " is not running"))
           | Error e -> send (Wire.Error_r e)))
   | Wire.Cancel_of id -> (
-      let entry =
-        Mutex.lock t.reg_mutex;
-        let e = Hashtbl.find_opt t.registry id in
-        Mutex.unlock t.reg_mutex;
-        e
-      in
-      match entry with
+      match find_running t id with
       | Some e ->
           Atomic.set e.e_cancel true;
           (* end it now if it still waits for a domain, or resume it if
              it is parked in a fair-share wait *)
-          withdraw e;
+          withdraw t e;
           Admission.kick t.adm;
           send (Wire.Cancel_ack id)
       | None -> send (Wire.Error_r ("session " ^ id ^ " is not running")))
@@ -607,17 +582,17 @@ let serve t =
   accept_loop ();
   (* Drain, in dependency order: stop accepting; unblock fair-share
      waits; let every session notice [stopping] — a running job at its
-     next progress callback, a queued one when it starts — and reach a
-     terminal state; then wake the connections (their terminal-state
-     waits have already been broadcast) and join them; finally tear down
-     the shared machinery. *)
+     next progress callback, a queued one when it starts — and end,
+     which empties the registry; then wake the connections (their
+     outcome waits have already been broadcast) and join them; finally
+     tear down the shared machinery. *)
   (try Unix.close t.lsock with Unix.Unix_error _ -> ());
   Admission.close t.adm;
-  Mutex.lock t.reg_mutex;
-  while t.runners > 0 do
-    Condition.wait t.runners_done t.reg_mutex
+  (* a submit past its [stopping] check has bound its id by now *)
+  Mutex.protect t.submit_mutex ignore;
+  while not (Ids.is_empty (Atomic.get t.registry)) do
+    Thread.delay 0.01
   done;
-  Mutex.unlock t.reg_mutex;
   let conns =
     Mutex.lock t.conn_mutex;
     let c = t.conns in

@@ -2,18 +2,26 @@
     store directory, accepting concurrent tuning sessions over a
     Unix-domain or TCP socket speaking the {!Wire} protocol.
 
-    {b Multiplexing.}  Every accepted connection gets a thread.  Every
-    admitted session gets a thread for its I/O — opening its store
-    session, which lets the connection answer [Accepted], and publishing
-    its outcome — and hands {!Peak.Driver.tune} to the shared
-    {!Peak_util.Pool} as one job.  The pool's [domains - 1] worker
-    domains and one runner thread on the daemon's main domain run those
-    jobs, one session each at a time, so [domains] sessions compute side
-    by side and the rest wait for a domain (a [serve.queue] span, from
-    admission to the job's start, when tracing is on).  Each session's
-    rating batches run on the same pool.  The driver's results do not
-    depend on the pool, so every session's result is bit-identical to
-    running the same parameters through the batch CLI with [--store].
+    {b Multiplexing.}  Every accepted connection gets a thread; no
+    session gets one.  The connection that admits a session opens its
+    store session (so that it can answer [Accepted] with the replay
+    count) and hands {!Peak.Driver.tune} to the shared {!Peak_util.Pool}
+    as one job, the session's one owner.  The pool's [domains - 1]
+    worker domains and one runner thread on the daemon's main domain run
+    those jobs, one session each at a time, so [domains] sessions
+    compute side by side and the rest wait for a domain (a [serve.queue]
+    span, from admission to the job's start, when tracing is on).  Each
+    session's rating batches run on the same pool.  A session ends once,
+    by its job or by the cancel that withdrew the job before it started:
+    the store session closes, the admission ticket is released, the
+    registry entry is dropped and the outcome goes to the connections
+    waiting on it.  The registry holds exactly the running sessions; the
+    status of an ended session comes from the store, which knows [done]
+    (with its result) or [idle] — a failed or cancelled session reads
+    [idle], its reason having gone to its waiting client.  The driver's
+    results do not depend on the pool, so every session's result is
+    bit-identical to running the same parameters through the batch CLI
+    with [--store].
 
     {b Admission.}  {!Admission} bounds in-flight sessions and paces
     them to fair-share fresh-rating budgets via {!Peak.Driver.tune}'s
@@ -33,7 +41,8 @@
     consistent, and ends sessions still waiting for a domain before
     their profile runs; restarting the daemon and resuming a session
     replays its journal and completes bit-identically.  A cancel ends a
-    session the same way, and one still waiting for a domain at once. *)
+    session the same way, and one still waiting for a domain at once,
+    freeing its admission slot before the cancel is acknowledged. *)
 
 exception Aborted of string
 (** Raised from the driver's progress callback to stop a session

@@ -63,6 +63,10 @@ type request =
   | Ping
 
 type state = Running | Done | Failed | Cancelled | Idle
+(** A {!Status_r} carries only [Running] (the daemon runs the session),
+    [Done] or [Idle] (read from the store, which keeps no reason for a
+    session that ended without a result).  [Failed] and [Cancelled]
+    appear only in the [state] argument of a stream's closing span. *)
 
 val state_to_string : state -> string
 val state_of_string : string -> (state, string) result

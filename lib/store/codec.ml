@@ -72,14 +72,6 @@ let require_finite ~ver key f =
     Error (Printf.sprintf "member %S: non-finite value in a v%d record" key ver)
   else Ok f
 
-type rating = {
-  eval : float;
-  var : float;
-  samples : int;
-  invocations : int;
-  converged : bool;
-}
-
 type consumption = { c_invocations : int; c_passes : int; c_cycles : float }
 
 type event = {
@@ -202,28 +194,6 @@ let optconfig_of_json v =
       (Printf.sprintf "configuration digest mismatch (stored %s, recomputed %s)" digest
          (Optconfig.digest config))
   else Ok config
-
-(* ---------------- ratings ---------------- *)
-
-let rating_to_json (r : rating) =
-  Json.Obj
-    [
-      ("v", Json.Int version);
-      ("eval", float_to_json r.eval);
-      ("var", float_to_json r.var);
-      ("samples", Json.Int r.samples);
-      ("invocations", Json.Int r.invocations);
-      ("converged", Json.Bool r.converged);
-    ]
-
-let rating_of_json v =
-  let* ver = checked_version v in
-  let* eval = Result.bind (get_special_float "eval" v) (require_finite ~ver "eval") in
-  let* var = Result.bind (get_special_float "var" v) (require_finite ~ver "var") in
-  let* samples = Json.get_int "samples" v in
-  let* invocations = Json.get_int "invocations" v in
-  let* converged = Json.get_bool "converged" v in
-  Ok { eval; var; samples; invocations; converged }
 
 (* ---------------- trajectories ---------------- *)
 

@@ -66,17 +66,6 @@ val valid_search_key : string -> (string, string) result
 
 (** {1 Serialized types} *)
 
-type rating = {
-  eval : float;
-  var : float;
-  samples : int;
-  invocations : int;
-  converged : bool;
-}
-(** Mirror of [Peak.Rating.t] (the store sits below the core library in
-    the dependency order, so it carries its own structurally identical
-    record). *)
-
 type consumption = { c_invocations : int; c_passes : int; c_cycles : float }
 (** Simulated resources a rating consumed — replayed into the session
     ledger on resume so the tuning-time accounting is also
@@ -192,9 +181,6 @@ val float_of_json : Json.t -> (float, string) result
 
 val optconfig_to_json : Optconfig.t -> Json.t
 val optconfig_of_json : Json.t -> (Optconfig.t, string) result
-
-val rating_to_json : rating -> Json.t
-val rating_of_json : Json.t -> (rating, string) result
 
 val trajectory_to_json : (Optconfig.t * float) list -> Json.t
 val trajectory_of_json : Json.t -> ((Optconfig.t * float) list, string) result

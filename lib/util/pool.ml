@@ -1,9 +1,9 @@
 type task = unit -> unit
 
-(* A queued job: [run] starts it, or continues it after a {!park};
-   [drop] fails its waiter when the pool shuts down before a runner
-   took it. *)
-type pending = { run : unit -> unit; drop : unit -> unit }
+type job = bool Atomic.t  (* a runner started it, or [cancel] or [shutdown] took it *)
+
+(* A queued job: one no runner has started, or a parked one resumed. *)
+type pending = Fresh of job * (unit -> unit) | Parked of (unit, unit) Effect.Deep.continuation
 
 type t = {
   mutex : Mutex.t;
@@ -16,14 +16,9 @@ type t = {
   domains : int;
 }
 
-type 'a job = {
-  j_mutex : Mutex.t;
-  j_cond : Condition.t;
-  mutable j_result : ('a, exn * Printexc.raw_backtrace) result option;
-  j_claimed : bool Atomic.t;  (* a runner started it, or [cancel] or [shutdown] took it *)
-}
-
 type _ Effect.t += Park : ((unit -> unit) -> unit) -> unit Effect.t
+
+exception Dropped
 
 (* Gauges mirror the level of the queue and of dequeued-but-unfinished
    tasks; both are read and written only under [pool.mutex]. *)
@@ -33,12 +28,51 @@ let note_levels pool =
     Peak_obs.gauge "pool.inflight" pool.running
   end
 
+(* Queue [p] for a runner; [false], queueing nothing, once the pool is
+   shut down. *)
+let push pool p =
+  Mutex.protect pool.mutex (fun () ->
+      if pool.live then begin
+        Queue.push p pool.jobs;
+        (* a broadcast, not a signal: the woken thread might be a map
+           helper, which never takes a job *)
+        Condition.broadcast pool.cond
+      end;
+      pool.live)
+
+(* Run [body] as a job.  An exception that escapes it ends the job, not
+   the runner.  A [park] inside it returns control here, to the runner,
+   and hands the parker a resume that queues the rest of the job; the
+   deep handler travels with the continuation, so a later park returns
+   to whichever runner continued it.  A [register] that raises raises
+   from the park. *)
+let start pool body =
+  Effect.Deep.try_with
+    (fun () -> try body () with _ -> ())
+    ()
+    {
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Park register ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  let resume () =
+                    if not (push pool (Parked k)) then Effect.Deep.discontinue k Dropped
+                  in
+                  match register resume with
+                  | () -> ()
+                  | exception e -> Effect.Deep.discontinue k e)
+          | _ -> None);
+    }
+
 (* Runners drain the queues until shutdown, a task before a job: a queued
    task belongs to a batch that a running job waits on.  Neither raises
-   (map and submit wrap user code in a result), so a runner cannot die
-   early.  Only this loop takes jobs — never map's helping loop — so a
-   job never runs nested inside another job's batch; a job that parks
-   returns here and the runner takes the next piece of work. *)
+   (map wraps user code in a result, [start] swallows what a job lets
+   escape), so a runner cannot die early.  Only this loop takes jobs —
+   never map's helping loop — so a job never runs nested inside another
+   job's batch; a job that parks returns here and the runner takes the
+   next piece of work. *)
 let rec work pool =
   Mutex.lock pool.mutex;
   while Queue.is_empty pool.queue && Queue.is_empty pool.jobs && pool.live do
@@ -58,9 +92,12 @@ let rec work pool =
       work pool
   | None -> (
       match Queue.take_opt pool.jobs with
-      | Some job ->
+      | Some p ->
           Mutex.unlock pool.mutex;
-          job.run ();
+          (match p with
+          | Fresh (claimed, body) ->
+              if Atomic.compare_and_set claimed false true then start pool body
+          | Parked k -> Effect.Deep.continue k ());
           work pool
       | None ->
           (* both queues empty and the pool no longer live *)
@@ -84,12 +121,6 @@ let create ~domains =
   pool
 
 let domains pool = pool.domains
-
-let depth pool =
-  Mutex.lock pool.mutex;
-  let d = Queue.length pool.queue in
-  Mutex.unlock pool.mutex;
-  d
 
 let map (type b) pool (f : 'a -> b) items =
   let items = Array.of_list items in
@@ -164,125 +195,30 @@ let map (type b) pool (f : 'a -> b) items =
     !out
   end
 
-let finish job r =
-  Mutex.lock job.j_mutex;
-  job.j_result <- Some r;
-  Condition.broadcast job.j_cond;
-  Mutex.unlock job.j_mutex
-
-(* Queue a pending job, or drop it at once on a pool already shut down. *)
-let enqueue pool p =
-  Mutex.lock pool.mutex;
-  if pool.live then begin
-    Queue.push p pool.jobs;
-    (* a broadcast, not a signal: the woken thread might be a map
-       helper, which never takes a job *)
-    Condition.broadcast pool.cond;
-    Mutex.unlock pool.mutex
-  end
-  else begin
-    Mutex.unlock pool.mutex;
-    p.drop ()
-  end
-
-exception Dropped
-
-(* Run [body], which never raises, as a job.  A [park] inside it returns
-   control here, to the runner, and hands the parker a resume that
-   queues the rest of the job; the deep handler travels with the
-   continuation, so a later park returns to whichever runner continued
-   it.  A [register] that raises raises from the park. *)
-let start pool body =
-  Effect.Deep.try_with body ()
-    {
-      effc =
-        (fun (type a) (e : a Effect.t) ->
-          match e with
-          | Park register ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let resume () =
-                    enqueue pool
-                      {
-                        run = (fun () -> Effect.Deep.continue k ());
-                        drop = (fun () -> Effect.Deep.discontinue k Dropped);
-                      }
-                  in
-                  match register resume with
-                  | () -> ()
-                  | exception e -> Effect.Deep.discontinue k e)
-          | _ -> None);
-    }
-
-let submit pool f =
-  let job =
-    {
-      j_mutex = Mutex.create ();
-      j_cond = Condition.create ();
-      j_result = None;
-      j_claimed = Atomic.make false;
-    }
-  in
-  let body () =
-    finish job
-      (match f () with
-      | v -> Ok v
-      | exception Dropped ->
-          Error (Failure "Pool.shutdown: parked job dropped", Printexc.get_raw_backtrace ())
-      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-  in
-  let run () = if Atomic.compare_and_set job.j_claimed false true then start pool body in
-  let drop () =
-    if Atomic.compare_and_set job.j_claimed false true then
-      finish job (Error (Failure "Pool.shutdown: job never started", Printexc.get_callstack 0))
-  in
-  Mutex.lock pool.mutex;
-  let live = pool.live in
-  Mutex.unlock pool.mutex;
-  if not live then invalid_arg "Pool.submit: pool is shut down";
-  enqueue pool { run; drop };
+let submit pool body =
+  let job = Atomic.make false in
+  if not (push pool (Fresh (job, body))) then invalid_arg "Pool.submit: pool is shut down";
   job
 
-let cancel job e =
-  Atomic.compare_and_set job.j_claimed false true
-  && begin
-       finish job (Error (e, Printexc.get_callstack 0));
-       true
-     end
+let cancel job = Atomic.compare_and_set job false true
 
-let park register =
-  match Effect.perform (Park register) with
-  | () -> ()
-  | exception Effect.Unhandled (Park _) ->
-      (* not inside a job: the calling thread waits for its resume *)
-      let m = Mutex.create () and c = Condition.create () and resumed = ref false in
-      register (fun () ->
-          Mutex.protect m (fun () ->
-              resumed := true;
-              Condition.broadcast c));
-      Mutex.protect m (fun () ->
-          while not !resumed do
-            Condition.wait c m
-          done)
-
-let await job =
-  Mutex.lock job.j_mutex;
-  while Option.is_none job.j_result do
-    Condition.wait job.j_cond job.j_mutex
-  done;
-  let r = Option.get job.j_result in
-  Mutex.unlock job.j_mutex;
-  match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+let park register = Effect.perform (Park register)
 
 let shutdown pool =
-  Mutex.lock pool.mutex;
-  pool.live <- false;
-  let queued = List.of_seq (Queue.to_seq pool.jobs) in
-  Queue.clear pool.jobs;
-  Condition.broadcast pool.cond;
-  Mutex.unlock pool.mutex;
+  let queued =
+    Mutex.protect pool.mutex (fun () ->
+        pool.live <- false;
+        let queued = List.of_seq (Queue.to_seq pool.jobs) in
+        Queue.clear pool.jobs;
+        Condition.broadcast pool.cond;
+        queued)
+  in
   (* outside the lock: dropping a parked job unwinds its code *)
-  List.iter (fun p -> p.drop ()) queued;
+  List.iter
+    (function
+      | Fresh (claimed, _) -> Atomic.set claimed true
+      | Parked k -> Effect.Deep.discontinue k Dropped)
+    queued;
   List.iter Domain.join pool.workers;
   pool.workers <- []
 

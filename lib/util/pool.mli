@@ -10,23 +10,25 @@
     same pool (nested batches) without risk of deadlock: every batch's
     submitter can drain the queue itself even when all runners are busy.
 
-    {b Jobs} are whole computations handed over with {!submit} and
-    collected with {!await} — a tuning daemon's sessions, each of which
-    maps its rating batches over the same pool.  Only a {e runner} takes
-    a job: a worker domain, or a thread that called {!work}.  A runner
-    takes a queued task before a queued job, and [map]'s helping loop
-    never takes a job, so no job ever runs nested inside another job's
-    batch.  A job may {!park}: it stops, its runner takes other work,
-    and once resumed the job goes back on the queue and continues on
-    whichever runner takes it next.  A pool with no worker domain
-    ([~domains:1]) runs jobs only once some thread calls {!work}.
+    {b Jobs} are whole computations handed over with {!submit} — a
+    tuning daemon's sessions, each of which maps its rating batches over
+    the same pool.  A job carries no result: its body publishes what it
+    computes itself.  Only a {e runner} takes a job: a worker domain, or
+    a thread that called {!work}.  A runner takes a queued task before a
+    queued job, and [map]'s helping loop never takes a job, so no job
+    ever runs nested inside another job's batch.  A job may {!park}: it
+    stops, its runner takes other work, and once resumed the job goes
+    back on the queue and continues on whichever runner takes it next.
+    A pool with no worker domain ([~domains:1]) runs jobs only once some
+    thread calls {!work}.
 
     Results are returned in submission order regardless of which domain
     executed which task.  A task that raises does not poison the pool:
     the remaining tasks of the batch still run to completion, the first
     exception (in submission order) is re-raised to the caller with its
-    backtrace, and the pool stays usable for further batches.  A job
-    that raises re-raises to its {!await}er, with its backtrace.
+    backtrace, and the pool stays usable for further batches.  An
+    exception that escapes a job ends that job and is discarded; its
+    runner goes on with the next piece of work.
 
     Determinism contract: if each task computes a value independent of
     the other tasks (no shared mutable state), the result list — and any
@@ -44,11 +46,6 @@ val create : domains:int -> t
 val domains : t -> int
 (** The concurrency level the pool was created with. *)
 
-val depth : t -> int
-(** Tasks currently queued and not yet picked up by any domain.  A
-    point-in-time level for admission control; also published as the
-    [pool.depth] gauge when tracing is on. *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f items] applies [f] to every element, executing the
     applications on the pool, and returns the results in the order of
@@ -56,31 +53,26 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     tasks raised, re-raises the exception of the earliest-submitted
     failing task after the batch completes. *)
 
-type 'a job
+type job
 (** A submitted job's handle. *)
 
-val submit : t -> (unit -> 'a) -> 'a job
-(** Queue [f] as a job for the next idle runner; returns at once.
+val submit : t -> (unit -> unit) -> job
+(** Queue [body] as a job for the next idle runner; returns at once.
     @raise Invalid_argument once the pool is {!shutdown}. *)
 
-val await : 'a job -> 'a
-(** Block until the job has run and return its value, or re-raise its
-    exception with the job's backtrace.  A job still queued when the
-    pool shuts down never starts: its [await] raises [Failure]; so does
-    a parked job resumed after shutdown, from its park. *)
-
-val cancel : 'a job -> exn -> bool
-(** [cancel job e] withdraws a job no runner has started: it never runs,
-    and its [await] raises [e] at once.  Returns [false], and does
-    nothing, once a runner has started the job. *)
+val cancel : job -> bool
+(** Withdraw a job no runner has started: it never runs.  Returns [true]
+    only when this call withdrew it — [false], doing nothing, once a
+    runner has started the job, an earlier [cancel] withdrew it or
+    {!shutdown} dropped it. *)
 
 val park : ((unit -> unit) -> unit) -> unit
-(** [park register], called from a job, stops the job and frees its
-    runner for other work.  [register resume] runs on the runner once
-    the job has stopped; calling [resume] (once, from any thread, at
-    once or later) queues the job to continue, and [park] returns on the
-    runner that takes it.  Called outside a job, [park] blocks the
-    calling thread until [resume] is called.  Locks held across a park
+(** [park register], called from inside a job, stops the job and frees
+    its runner for other work.  [register resume] runs on the runner
+    once the job has stopped; calling [resume] (once, from any thread,
+    at once or later) queues the job to continue, and [park] returns on
+    the runner that takes it.  There is no other path: called outside a
+    job, [park] raises [Effect.Unhandled].  Locks held across a park
     would be released from another thread: hold none. *)
 
 val work : t -> unit
@@ -90,12 +82,13 @@ val work : t -> unit
     the [domains - 1] workers. *)
 
 val shutdown : t -> unit
-(** Fail the queued jobs (those no runner has started, and parked jobs
-    already resumed: these unwind from their park), let the runners
-    finish the work they hold and any queued tasks, then stop the worker
+(** Drop the queued jobs (those no runner has started never run; parked
+    jobs already resumed unwind from their park), let the runners finish
+    the work they hold and any queued tasks, then stop the worker
     domains and join them (a {!work} thread returns and is its starter's
     to join).  A job parked and not yet resumed is its parker's to
-    resume.  The pool must not be used afterwards.  Idempotent. *)
+    resume; resumed after shutdown, it unwinds from its park.  The pool
+    must not be used afterwards.  Idempotent. *)
 
 val run : domains:int -> (t -> 'a) -> 'a
 (** [run ~domains f] brackets [f] between {!create} and {!shutdown},

@@ -1,12 +1,10 @@
 type align = Left | Right | Center
 
-type row = Cells of string list | Separator
-
 type t = {
   title : string option;
   header : string list;
   arity : int;
-  mutable rows : row list;  (* reverse order *)
+  mutable rows : string list list;  (* reverse order *)
 }
 
 let create ?title ~header () =
@@ -16,9 +14,7 @@ let create ?title ~header () =
 
 let add_row t cells =
   if List.length cells <> t.arity then invalid_arg "Table.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -35,10 +31,7 @@ let render ?align t =
   let rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.header) in
   List.iter
-    (function
-      | Separator -> ()
-      | Cells cells ->
-          List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cells)
+    (List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)))
     rows;
   let aligns =
     match align with
@@ -74,11 +67,7 @@ let render ?align t =
   rule ();
   emit_cells (fun _ -> Center) t.header;
   rule ();
-  List.iter
-    (function
-      | Separator -> rule ()
-      | Cells cells -> emit_cells (fun i -> aligns.(i)) cells)
-    rows;
+  List.iter (emit_cells (fun i -> aligns.(i))) rows;
   rule ();
   Buffer.contents buf
 

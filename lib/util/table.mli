@@ -15,9 +15,6 @@ val add_row : t -> string list -> unit
 (** Append a row.  @raise Invalid_argument if the arity differs from the
     header's. *)
 
-val add_separator : t -> unit
-(** Horizontal rule between row groups. *)
-
 val render : ?align:align list -> t -> string
 (** Render with box-drawing in plain ASCII.  [align] defaults to
     left-aligning the first column and right-aligning the rest, the usual

@@ -272,78 +272,92 @@ let frame_overflow () =
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let admit adm =
+  match Admission.try_admit adm with
+  | Admission.Admitted tk -> tk
+  | Admission.Saturated _ -> Alcotest.fail "admit rejected"
+
 let admission_bounds () =
   let adm = Admission.create ~capacity:2 ~quantum:8 in
-  let tk1 =
-    match Admission.try_admit adm with
-    | Admission.Admitted tk -> tk
-    | Admission.Saturated _ -> Alcotest.fail "first admit rejected"
-  in
-  let _tk2 =
-    match Admission.try_admit adm with
-    | Admission.Admitted tk -> tk
-    | Admission.Saturated _ -> Alcotest.fail "second admit rejected"
-  in
+  let tk1 = admit adm in
+  let _tk2 = admit adm in
   (match Admission.try_admit adm with
   | Admission.Saturated ra ->
       Alcotest.(check bool) "retry-after positive" true (ra > 0.0)
   | Admission.Admitted _ -> Alcotest.fail "over-capacity admit accepted");
   Admission.release adm tk1 ~wall:0.1;
   Admission.release adm tk1 ~wall:0.1 (* idempotent *);
-  (match Admission.try_admit adm with
-  | Admission.Admitted _ -> ()
-  | Admission.Saturated _ -> Alcotest.fail "admit after release rejected");
+  ignore (admit adm);
   let s = Admission.stats adm in
   Alcotest.(check int) "active" 2 s.Admission.a_active;
   Alcotest.(check int) "completed" 1 s.Admission.a_completed;
   Alcotest.(check int) "rejected" 1 s.Admission.a_rejected
 
+(* [Admission.charge] pauses by parking its pool job, so each charge
+   below runs as a job on a one-domain pool with one runner thread.
+   Jobs start in submission order, so a probe job queued behind a charge
+   runs once that charge has returned or parked, and tells which: the
+   charge returns whether it returned at once, and a flag that turns
+   true when it returns. *)
+let with_charger f =
+  Test_pool.with_runner (Peak_util.Pool.create ~domains:1) @@ fun pool ->
+  let charge ?(abort = fun () -> false) adm tk fresh =
+    let returned = Atomic.make false in
+    ignore
+      (Peak_util.Pool.submit pool (fun () ->
+           Admission.charge adm tk ~abort ~fresh;
+           Atomic.set returned true));
+    (Test_pool.await (Test_pool.submit_cell pool (fun () -> Atomic.get returned)), returned)
+  in
+  f charge
+
+let resumed what flag = Test_pool.wait_until ~secs:10.0 what (fun () -> Atomic.get flag)
+
 let admission_fair_share () =
+  with_charger @@ fun charge ->
   let adm = Admission.create ~capacity:4 ~quantum:8 in
-  let admit () =
-    match Admission.try_admit adm with
-    | Admission.Admitted tk -> tk
-    | Admission.Saturated _ -> Alcotest.fail "admit rejected"
-  in
-  let ahead = admit () and behind = admit () in
-  (* the least-advanced session never blocks, whatever its count *)
-  Admission.charge adm behind ~fresh:0 ();
-  let released = ref false in
-  let runner =
-    Thread.create
-      (fun () ->
-        (* 100 fresh vs 0: over budget — must block until [behind]
-           catches up or leaves *)
-        Admission.charge adm ahead ~fresh:100 ();
-        if not !released then Alcotest.fail "over-budget charge did not block")
-      ()
-  in
-  Thread.delay 0.05;
-  released := true;
+  let ahead = admit adm and behind = admit adm in
+  (* the least-advanced session never parks, whatever its count *)
+  Alcotest.(check bool) "the least-advanced charge returns" true (fst (charge adm behind 0));
+  (* 100 fresh vs 0: over budget — parks until [behind] catches up or
+     leaves *)
+  let at_once, over = charge adm ahead 100 in
+  Alcotest.(check bool) "an over-budget charge parks" false at_once;
   Admission.release adm behind ~wall:0.01;
-  Thread.join runner;
-  (* an abort predicate unblocks a parked charge when kicked *)
-  let b2 = admit () in
-  Admission.charge adm b2 ~fresh:0 ();
+  resumed "a release resumes the parked charge" over;
+  (* an abort predicate resumes a parked charge when kicked; [b2] joins
+     at [ahead]'s 100 *)
+  let b2 = admit adm in
+  Alcotest.(check bool) "a newcomer's charge returns" true (fst (charge adm b2 0));
   let cancelled = Atomic.make false in
-  let parked =
-    Thread.create
-      (fun () ->
-        Admission.charge adm ahead ~abort:(fun () -> Atomic.get cancelled) ~fresh:300 ())
-      ()
-  in
-  Thread.delay 0.02;
+  let at_once, parked = charge ~abort:(fun () -> Atomic.get cancelled) adm ahead 300 in
+  Alcotest.(check bool) "300 against 100 parks" false at_once;
   Atomic.set cancelled true;
   Admission.kick adm;
-  Thread.join parked;
-  (* close wakes everything still parked *)
-  let parked2 = Thread.create (fun () -> Admission.charge adm ahead ~fresh:500 ()) () in
-  Thread.delay 0.02;
+  resumed "a kick resumes an aborted charge" parked;
+  (* close resumes everything still parked *)
+  let at_once, parked2 = charge adm ahead 500 in
+  Alcotest.(check bool) "500 against 100 parks" false at_once;
   Admission.close adm;
-  Thread.join parked2;
+  resumed "close resumes every parked charge" parked2;
   match Admission.try_admit adm with
   | Admission.Saturated _ -> ()
   | Admission.Admitted _ -> Alcotest.fail "admit after close accepted"
+
+(* A newcomer joins the band at its minimum, not at zero, so a session
+   far ahead of an empty band keeps its quantum of headroom. *)
+let admission_joins_at_minimum () =
+  with_charger @@ fun charge ->
+  let adm = Admission.create ~capacity:2 ~quantum:64 in
+  let first = admit adm in
+  Alcotest.(check bool) "alone, a session never parks" true (fst (charge adm first 1_000));
+  let _newcomer = admit adm in
+  Alcotest.(check bool) "a quantum past the newcomer's join returns" true
+    (fst (charge adm first 1_064));
+  let at_once, parked = charge adm first 1_065 in
+  Alcotest.(check bool) "one rating past that parks" false at_once;
+  Admission.close adm;
+  resumed "close resumes it" parked
 
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                    *)
@@ -761,7 +775,15 @@ let daemon_aborts_queued_sessions () =
           await_admitted (tries - 1)
   in
   await_admitted 1000;
+  let active () =
+    match ok (Client.request c Wire.Stats_req) with
+    | Wire.Stats_r { ss_active; _ } -> ss_active
+    | _ -> Alcotest.fail "expected stats"
+  in
+  Alcotest.(check int) "both sessions hold a slot" 2 (active ());
   cancel c queued_id;
+  (* the cancel that withdrew the queued job ended the session *)
+  Alcotest.(check int) "the withdrawn session's slot is free at once" 1 (active ());
   Thread.join waiter;
   (match !queued_result with
   | Some (Error e) ->
@@ -805,6 +827,58 @@ let daemon_aborts_queued_sessions () =
         info.Peak_store.Session.info_events;
       Alcotest.(check bool) "and is not done" true (info.Peak_store.Session.info_result = None)
   | Error e -> Alcotest.fail e
+
+(* The registry holds only running sessions; an ended one's status comes
+   from the store: [done] with its result for a completed session, and
+   [idle] for a cancelled one, both with the journal's rating count. *)
+let daemon_reads_ended_sessions_from_store () =
+  Oracles.with_tmpdir @@ fun dir ->
+  let store = Filename.concat dir "store" in
+  let d = start_daemon store in
+  let _, _, endpoint = d in
+  let c = connect endpoint in
+  Fun.protect ~finally:(fun () ->
+      Client.close c;
+      stop_daemon d)
+  @@ fun () ->
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let journaled id =
+    (ok (Peak_store.Session.load_info ~dir:store ~id)).Peak_store.Session.info_events
+  in
+  let status id =
+    match ok (Client.request c (Wire.Status_of id)) with
+    | Wire.Status_r st -> st
+    | _ -> Alcotest.fail "expected a status"
+  in
+  let id, result =
+    match ok (Client.run c (Wire.Submit (cheap_spec 70))) with
+    | Client.Finished { id; result; _ } -> (id, result)
+    | _ -> Alcotest.fail "expected Finished"
+  in
+  let st = status id in
+  Alcotest.(check string) "a completed session reads done" "done"
+    (Wire.state_to_string st.Wire.st_state);
+  Alcotest.(check int) "with its journal's count" (journaled id) st.Wire.st_ratings;
+  (match ok (Client.request c (Wire.Stream_of id)) with
+  | Wire.Result_r { rr_result; _ } ->
+      Oracles.check_identical_summary "streamed from the store" result rr_result
+  | _ -> Alcotest.fail "expected the stored result");
+  let long = running c (slow_spec 71) in
+  cancel c long;
+  let rec await_idle tries =
+    if tries = 0 then Alcotest.fail "the cancelled session never read idle"
+    else
+      let st = status long in
+      if st.Wire.st_state = Wire.Idle then st
+      else begin
+        Thread.delay 0.01;
+        await_idle (tries - 1)
+      end
+  in
+  let st = await_idle 3000 in
+  Alcotest.(check bool) "the cancelled session journaled ratings" true (st.Wire.st_ratings > 0);
+  Alcotest.(check int) "it reads idle with its journal's count" (journaled long)
+    st.Wire.st_ratings
 
 let daemon_survives_malformed_frames () =
   Oracles.with_tmpdir @@ fun dir ->
@@ -925,6 +999,8 @@ let suites =
         Alcotest.test_case "bounded in-flight with retry-after" `Quick admission_bounds;
         Alcotest.test_case "fair-share charge blocks and unblocks" `Quick
           admission_fair_share;
+        Alcotest.test_case "a newcomer joins the band at its minimum" `Quick
+          admission_joins_at_minimum;
       ] );
     ( "serve.daemon",
       [
@@ -941,6 +1017,8 @@ let suites =
           daemon_cheap_overtakes_long;
         Alcotest.test_case "cancel or stop of a queued session skips its profile" `Quick
           daemon_aborts_queued_sessions;
+        Alcotest.test_case "an ended session's status comes from the store" `Quick
+          daemon_reads_ended_sessions_from_store;
         Alcotest.test_case "malformed frames get typed errors" `Quick
           daemon_survives_malformed_frames;
         Alcotest.test_case "one daemon per store" `Quick store_lock_is_exclusive;

@@ -65,20 +65,6 @@ let gen_consumption =
       (fun i p c -> { Codec.c_invocations = i; c_passes = p; c_cycles = c })
       small_nat small_nat gen_finite)
 
-let gen_rating =
-  QCheck.Gen.(
-    map
-      (fun (eval, var, samples, invocations, converged) ->
-        { Codec.eval; var; samples; invocations; converged })
-      (tup5 gen_finite gen_finite small_nat small_nat bool))
-
-let arb_rating =
-  QCheck.make
-    ~print:(fun (r : Codec.rating) ->
-      Printf.sprintf "{eval=%h; var=%h; samples=%d; inv=%d; conv=%b}" r.Codec.eval
-        r.Codec.var r.Codec.samples r.Codec.invocations r.Codec.converged)
-    gen_rating
-
 let gen_event =
   QCheck.Gen.(
     map
@@ -281,13 +267,6 @@ let roundtrip_tests =
       same_float;
     t "optconfig round-trips" arb_optconfig Codec.optconfig_to_json Codec.optconfig_of_json
       Optconfig.equal;
-    t "rating round-trips" arb_rating Codec.rating_to_json Codec.rating_of_json
-      (fun (a : Codec.rating) (b : Codec.rating) ->
-        same_float a.Codec.eval b.Codec.eval
-        && same_float a.Codec.var b.Codec.var
-        && a.Codec.samples = b.Codec.samples
-        && a.Codec.invocations = b.Codec.invocations
-        && a.Codec.converged = b.Codec.converged);
     t "trajectory round-trips" arb_trajectory Codec.trajectory_to_json
       Codec.trajectory_of_json same_trajectory;
     t "event round-trips" arb_event Codec.event_to_json Codec.event_of_json
@@ -429,11 +408,6 @@ let test_v4_rejects_nonfinite () =
       Alcotest.(check bool) "quarantine sentinel survives" true
         (e.Codec.e_eval = Float.infinity)
   | Error e -> Alcotest.fail ("quarantine sentinel rejected: " ^ e));
-  let rating eval var =
-    Codec.rating_to_json { Codec.eval; var; samples = 1; invocations = 1; converged = true }
-  in
-  rejects "NaN rating eval" Codec.rating_of_json (rating Float.nan 1.0);
-  rejects "infinite rating var" Codec.rating_of_json (rating 1.0 Float.infinity);
   let meta threshold =
     Codec.session_meta_to_json
       {
