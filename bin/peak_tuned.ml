@@ -37,9 +37,9 @@ let domains_arg =
     value & opt int 2
     & info [ "j"; "domains" ] ~docv:"N"
         ~doc:
-          "Domains that run sessions and their ratings: the main domain plus N-1 worker \
-           domains.  Up to N admitted sessions compute at once; the rest wait for a \
-           domain.")
+          "Worker domains that run sessions and their ratings.  Up to N admitted \
+           sessions compute at once; the rest wait for a domain.  The main domain only \
+           serves connections and computes no session.")
 
 let max_sessions_arg =
   Arg.(
@@ -94,7 +94,8 @@ let run store listen domains max_sessions quantum trace =
   let stop_on _ = Daemon.stop d in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_on);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_on);
-  Printf.printf "peak-tuned: serving %s on %s (%d domains, %d sessions max)\n%!" store
+  Printf.printf "peak-tuned: serving %s on %s (%d worker domains, %d sessions max)\n%!"
+    store
     (Wire.endpoint_to_string endpoint)
     domains max_sessions;
   Daemon.serve d;

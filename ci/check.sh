@@ -253,6 +253,15 @@ echo "   SIGTERM drained the daemon mid-session"
 "$BIN" trace summarize "$SMOKE/serve-trace.json" > /dev/null \
   || fail "trace summarize rejected the server trace"
 echo "   server trace validates"
+# The serving domain only serves: domain 0 runs the accept loop and the
+# connection threads, so no session's tune, profile or rating span may
+# carry its id.
+grep -q '"cat":"tune"' "$SMOKE/serve-trace.json" || fail "the server trace holds no tune span"
+if grep -Eq '"cat":"(tune|phase\.profile|rate)","ph":"X",[^{]*"tid":0,' "$SMOKE/serve-trace.json"
+then
+  fail "a session computed on the serving domain (a tune, profile or rate span on tid 0)"
+fi
+echo "   no session computed on the serving domain"
 start_tuned "$SMOKE/serve" "$SMOKE/daemon2.log"
 rid=$("$BIN" session list --store "$SMOKE/serve" -q | grep random2000)
 "$BIN" client resume --daemon "$SOCK" "$rid" | tail -4 > "$SMOKE/serve-resumed.out"

@@ -24,7 +24,7 @@
     cheap sessions does not starve a long one either.  The price is
     that a cheap session admitted beside a long one waits while the
     long one spends its quantum.  A session pauses by {!Peak_util.Pool.park}ing: its
-    runner takes other work — the session still waiting for a domain
+    worker takes other work — the session still waiting for a domain
     that holds the minimum down, or other sessions' rating tasks — so a
     pause never keeps a domain from work that could use it.  The
     least-advanced session never pauses, which makes the discipline

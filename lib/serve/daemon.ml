@@ -53,7 +53,6 @@ type t = {
   stopping : bool Atomic.t;
   submit_mutex : Mutex.t;  (* serialises admissions *)
   registry : entry Ids.t Atomic.t;  (* by session id *)
-  mutable main_runner : Thread.t option;  (* guarded by submit_mutex *)
   conn_mutex : Mutex.t;
   mutable conns : (Unix.file_descr * Thread.t) list;
 }
@@ -196,13 +195,14 @@ let create cfg =
         {
           cfg;
           lock_fd;
-          pool = Peak_util.Pool.create ~domains:cfg.domains;
+          (* the serving domain stands in for the [map] caller the pool
+             counts, and never maps: it takes no job and no task *)
+          pool = Peak_util.Pool.create ~domains:(cfg.domains + 1);
           adm = Admission.create ~capacity:cfg.max_sessions ~quantum:cfg.quantum;
           lsock;
           stopping = Atomic.make false;
           submit_mutex = Mutex.create ();
           registry = Atomic.make Ids.empty;
-          main_runner = None;
           conn_mutex = Mutex.create ();
           conns = [];
         }
@@ -216,7 +216,7 @@ let endpoint t = t.cfg.endpoint
 
 (* The registry is an immutable map behind an atomic, so that a job
    drops its session's entry without a lock.  The connections' threads
-   share one domain (the one that runs [serve]); a runner waiting for a
+   share one domain (the one that runs [serve]); a worker waiting for a
    lock one of them holds would wait, idle, until that thread got its
    domain's runtime lock back. *)
 let rec update t f =
@@ -224,7 +224,7 @@ let rec update t f =
   if not (Atomic.compare_and_set t.registry m (f m)) then update t f
 
 (* End a session, once: by its job, by the [Cancel] that withdrew the
-   job before a runner started it, or by its connection when the store
+   job before a worker started it, or by its connection when the store
    refused to open it.  Only the entry bound to an id is ever dropped
    under it: a submit binds an id only while it is unbound. *)
 let finish t entry outcome =
@@ -238,7 +238,7 @@ let finish t entry outcome =
   Condition.broadcast entry.e_cond;
   Mutex.unlock entry.e_mutex
 
-(* A cancelled session whose job no runner has started ends at once. *)
+(* A cancelled session whose job no worker has started ends at once. *)
 let withdraw t entry =
   Mutex.lock entry.e_mutex;
   let job = entry.e_job in
@@ -286,9 +286,7 @@ let session_job t entry job session () =
 
 (* The admitting connection opens the session's store, so that it can
    answer [Accepted] with the replay count, then hands the session to
-   the pool as one job; the pool's runners — its [domains - 1] workers
-   and the main domain's [Pool.work] thread — compute [domains] sessions
-   side by side. *)
+   the pool's worker domains as one job. *)
 let open_session t entry job =
   match Peak_store.Session.open_ ~dir:t.cfg.store ~meta:(meta_of_job job) () with
   | Error e -> finish t entry (Failed e)
@@ -344,12 +342,6 @@ let start_or_attach t job =
               }
             in
             update t (Ids.add id entry);
-            (* the main domain's runner: with the pool's [domains - 1]
-               workers, the daemon computes sessions on [domains]
-               domains.  It starts with the first session, so a daemon
-               start adds no thread to the accept loop's. *)
-            if Option.is_none t.main_runner then
-              t.main_runner <- Some (Thread.create Peak_util.Pool.work t.pool);
             Started entry)
 
 (* ---------------- per-connection protocol ---------------- *)
@@ -493,7 +485,7 @@ let handle_request t ~send ~send_event req =
              ss_capacity = s.Admission.a_capacity;
              ss_completed = s.Admission.a_completed;
              ss_rejected = s.Admission.a_rejected;
-             ss_domains = Peak_util.Pool.domains t.pool;
+             ss_domains = t.cfg.domains;
            })
   | Wire.Submit sp -> (
       match job_of_spec sp with
@@ -604,8 +596,6 @@ let serve t =
     conns;
   List.iter (fun (_, th) -> Thread.join th) conns;
   Peak_util.Pool.shutdown t.pool;
-  (* no session starts once [stopping] is set, so no runner appears now *)
-  Option.iter Thread.join t.main_runner;
   (match t.cfg.endpoint with
   | Wire.Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
   | Wire.Tcp _ -> ());

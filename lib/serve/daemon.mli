@@ -6,22 +6,23 @@
     session gets one.  The connection that admits a session opens its
     store session (so that it can answer [Accepted] with the replay
     count) and hands {!Peak.Driver.tune} to the shared {!Peak_util.Pool}
-    as one job, the session's one owner.  The pool's [domains - 1]
-    worker domains and one runner thread on the daemon's main domain run
-    those jobs, one session each at a time, so [domains] sessions
-    compute side by side and the rest wait for a domain (a [serve.queue]
-    span, from admission to the job's start, when tracing is on).  Each
-    session's rating batches run on the same pool.  A session ends once,
-    by its job or by the cancel that withdrew the job before it started:
-    the store session closes, the admission ticket is released, the
-    registry entry is dropped and the outcome goes to the connections
-    waiting on it.  The registry holds exactly the running sessions; the
-    status of an ended session comes from the store, which knows [done]
-    (with its result) or [idle] — a failed or cancelled session reads
-    [idle], its reason having gone to its waiting client.  The driver's
-    results do not depend on the pool, so every session's result is
-    bit-identical to running the same parameters through the batch CLI
-    with [--store].
+    as one job, the session's one owner.  The pool's [domains] worker
+    domains run those jobs, one session each at a time, so [domains]
+    sessions compute side by side and the rest wait for a domain (a
+    [serve.queue] span, from admission to the job's start, when tracing
+    is on).  Each session's rating batches run on the same workers.  The
+    domain that runs {!serve} only accepts and runs the connection
+    threads, so no session waits behind them for its runtime lock.  A
+    session ends once, by its job or by the cancel that withdrew the job
+    before it started: the store session closes, the admission ticket is
+    released, the registry entry is dropped and the outcome goes to the
+    connections waiting on it.  The registry holds exactly the running
+    sessions; the status of an ended session comes from the store, which
+    knows [done] (with its result) or [idle] — a failed or cancelled
+    session reads [idle], its reason having gone to its waiting client.
+    The driver's results do not depend on the pool, so every session's
+    result is bit-identical to running the same parameters through the
+    batch CLI with [--store].
 
     {b Admission.}  {!Admission} bounds in-flight sessions and paces
     them to fair-share fresh-rating budgets via {!Peak.Driver.tune}'s
@@ -53,8 +54,8 @@ type config = {
   store : string;  (** Store directory (created if missing). *)
   endpoint : Wire.endpoint;
   domains : int;
-      (** Domains that run sessions and their ratings: the main domain
-          plus [domains - 1] worker domains. *)
+      (** Worker domains that run sessions and their ratings, besides the
+          domain that runs {!serve}, which computes none. *)
   max_sessions : int;  (** Admission capacity. *)
   quantum : int;  (** Fair-share fresh-rating quantum. *)
 }

@@ -365,19 +365,29 @@ let event_of_json v =
    [`Overflow] (the stream cannot be resynchronized, the caller must
    close), any other undecodable line is a recoverable [`Malformed]. *)
 
-type reader = { fd : Unix.file_descr; pending : Buffer.t; mutable eof : bool }
+(* Unframed bytes are [buf.[start, stop)]; a read fills the free space
+   after them, and a full buffer doubles.  Reading allocates nothing: on a
+   daemon's serving domain, garbage drives GC stops of every domain. *)
+type reader = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable eof : bool;
+}
 
-let reader_of_fd fd = { fd; pending = Buffer.create 4096; eof = false }
+let reader_of_fd fd = { fd; buf = Bytes.create 4096; start = 0; stop = 0; eof = false }
 
-let chunk_size = 65536
+let chunk_size = 65536 (* what one [Unix.read] moves at most *)
+
+let rec newline r i =
+  if i >= r.stop then None else if Bytes.get r.buf i = '\n' then Some i else newline r (i + 1)
 
 let rec read_frame r =
-  let s = Buffer.contents r.pending in
-  match String.index_opt s '\n' with
+  match newline r r.start with
   | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear r.pending;
-      Buffer.add_substring r.pending s (i + 1) (String.length s - i - 1);
+      let line = Bytes.sub_string r.buf r.start (i - r.start) in
+      r.start <- i + 1;
       if String.length line > max_frame then `Overflow
       else if String.trim line = "" then read_frame r
       else (
@@ -385,21 +395,26 @@ let rec read_frame r =
         | Ok j -> `Frame j
         | Error e -> `Malformed e)
   | None ->
+      let pending = r.stop - r.start in
       if r.eof then
-        if Buffer.length r.pending = 0 then `Eof
+        if pending = 0 then `Eof
         else begin
-          Buffer.clear r.pending;
+          r.start <- r.stop;
           `Malformed "truncated frame at end of stream"
         end
-      else if Buffer.length r.pending > max_frame then `Overflow
+      else if pending > max_frame then `Overflow
       else begin
-        let bytes = Bytes.create chunk_size in
-        match Unix.read r.fd bytes 0 chunk_size with
+        let buf = if pending = Bytes.length r.buf then Bytes.create (2 * pending) else r.buf in
+        Bytes.blit r.buf r.start buf 0 pending;
+        r.buf <- buf;
+        r.start <- 0;
+        r.stop <- pending;
+        match Unix.read r.fd r.buf r.stop (min chunk_size (Bytes.length r.buf - r.stop)) with
         | 0 ->
             r.eof <- true;
             read_frame r
         | n ->
-            Buffer.add_subbytes r.pending bytes 0 n;
+            r.stop <- r.stop + n;
             read_frame r
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_frame r
         | exception Unix.Unix_error (_, _, _) ->

@@ -1,15 +1,15 @@
 type task = unit -> unit
 
-type job = bool Atomic.t  (* a runner started it, or [cancel] or [shutdown] took it *)
+type job = bool Atomic.t  (* a worker started it, or [cancel] or [shutdown] took it *)
 
-(* A queued job: one no runner has started, or a parked one resumed. *)
+(* A queued job: one no worker has started, or a parked one resumed. *)
 type pending = Fresh of job * (unit -> unit) | Parked of (unit, unit) Effect.Deep.continuation
 
 type t = {
   mutex : Mutex.t;
   cond : Condition.t;
   queue : task Queue.t;  (* map's tasks *)
-  jobs : pending Queue.t;  (* whole jobs, taken only by an idle runner *)
+  jobs : pending Queue.t;  (* whole jobs, taken only by an idle worker *)
   mutable running : int;  (* tasks dequeued but not yet finished *)
   mutable live : bool;
   mutable workers : unit Domain.t list;
@@ -28,7 +28,7 @@ let note_levels pool =
     Peak_obs.gauge "pool.inflight" pool.running
   end
 
-(* Queue [p] for a runner; [false], queueing nothing, once the pool is
+(* Queue [p] for a worker; [false], queueing nothing, once the pool is
    shut down. *)
 let push pool p =
   Mutex.protect pool.mutex (fun () ->
@@ -41,10 +41,10 @@ let push pool p =
       pool.live)
 
 (* Run [body] as a job.  An exception that escapes it ends the job, not
-   the runner.  A [park] inside it returns control here, to the runner,
+   the worker.  A [park] inside it returns control here, to the worker,
    and hands the parker a resume that queues the rest of the job; the
    deep handler travels with the continuation, so a later park returns
-   to whichever runner continued it.  A [register] that raises raises
+   to whichever worker continued it.  A [register] that raises raises
    from the park. *)
 let start pool body =
   Effect.Deep.try_with
@@ -66,13 +66,13 @@ let start pool body =
           | _ -> None);
     }
 
-(* Runners drain the queues until shutdown, a task before a job: a queued
-   task belongs to a batch that a running job waits on.  Neither raises
-   (map wraps user code in a result, [start] swallows what a job lets
-   escape), so a runner cannot die early.  Only this loop takes jobs —
-   never map's helping loop — so a job never runs nested inside another
-   job's batch; a job that parks returns here and the runner takes the
-   next piece of work. *)
+(* Each worker domain drains the queues until shutdown, a task before a
+   job: a queued task belongs to a batch that a running job waits on.
+   Neither raises (map wraps user code in a result, [start] swallows
+   what a job lets escape), so a worker cannot die early.  Only this
+   loop takes jobs — never map's helping loop — so a job never runs
+   nested inside another job's batch; a job that parks returns here and
+   the worker takes the next piece of work. *)
 let rec work pool =
   Mutex.lock pool.mutex;
   while Queue.is_empty pool.queue && Queue.is_empty pool.jobs && pool.live do
@@ -119,8 +119,6 @@ let create ~domains =
   in
   pool.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> work pool));
   pool
-
-let domains pool = pool.domains
 
 let map (type b) pool (f : 'a -> b) items =
   let items = Array.of_list items in
@@ -196,6 +194,7 @@ let map (type b) pool (f : 'a -> b) items =
   end
 
 let submit pool body =
+  if pool.domains = 1 then invalid_arg "Pool.submit: pool has no worker domain";
   let job = Atomic.make false in
   if not (push pool (Fresh (job, body))) then invalid_arg "Pool.submit: pool is shut down";
   job

@@ -59,18 +59,8 @@ let test_invalid_domains () =
 
 (* ---- jobs ---- *)
 
-(* A thread that runs [Pool.work] until shutdown: the runner a daemon
-   keeps on its main domain. *)
-let with_runner pool f =
-  let runner = Thread.create Pool.work pool in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown pool;
-      Thread.join runner)
-    (fun () -> f pool)
-
 (* Poll [ready] until it holds, failing after [secs]; [unstick] runs
-   first, so that a runner a broken pool left blocked can return. *)
+   first, so that a worker a broken pool left blocked can return. *)
 let wait_until ?(unstick = ignore) ~secs what ready =
   let deadline = Unix.gettimeofday () +. secs in
   while (not (ready ())) && Unix.gettimeofday () < deadline do
@@ -100,14 +90,25 @@ let await cell =
   | [ Error e ] -> raise e
   | _ -> assert false
 
-let test_jobs_without_workers () =
-  with_runner (Pool.create ~domains:1) (fun pool ->
-      let jobs =
-        List.init 5 (fun i ->
-            submit_cell pool (fun () -> List.fold_left ( + ) i (Pool.map pool Fun.id [ 1; 2; 3 ])))
-      in
-      Alcotest.(check (list int))
-        "the main-domain runner ran every job" [ 6; 7; 8; 9; 10 ] (List.map await jobs))
+(* Occupy a one-worker pool's worker with a job blocked on a latch, so
+   that jobs submitted meanwhile stay queued; returns the latch's
+   release. *)
+let occupy pool =
+  let started = Atomic.make false and latch = Atomic.make false in
+  ignore
+    (Pool.submit pool (fun () ->
+         Atomic.set started true;
+         while not (Atomic.get latch) do
+           Thread.delay 0.001
+         done));
+  wait_until ~secs:10.0 "the blocking job started" (fun () -> Atomic.get started);
+  fun () -> Atomic.set latch true
+
+let test_submit_without_workers () =
+  Pool.run ~domains:1 (fun pool ->
+      Alcotest.check_raises "no worker could ever take the job"
+        (Invalid_argument "Pool.submit: pool has no worker domain") (fun () ->
+          ignore (Pool.submit pool (fun () -> ()))))
 
 (* Every job records, on its thread, how many jobs that thread is inside;
    its batches are slow enough that a job waiting in [map] sees the other
@@ -123,7 +124,7 @@ let test_jobs_never_nest () =
   and leave () =
     Mutex.protect lock (fun () -> Hashtbl.replace depth (key ()) (Hashtbl.find depth (key ()) - 1))
   in
-  with_runner (Pool.create ~domains:3) (fun pool ->
+  Pool.run ~domains:3 (fun pool ->
       let job i () =
         enter ();
         Fun.protect ~finally:leave (fun () ->
@@ -140,30 +141,36 @@ let test_jobs_never_nest () =
         jobs);
   Alcotest.(check int) "no thread ever runs a job inside a job" 1 !deepest
 
-(* One runner: were the raise to end it, the job behind would never run. *)
+(* One worker: were the raise to end it, the job behind would never run. *)
 let test_raising_job_keeps_runner () =
-  with_runner (Pool.create ~domains:1) (fun pool ->
+  Pool.run ~domains:2 (fun pool ->
       ignore (Pool.submit pool (fun () -> raise (Boom 7)));
       Alcotest.(check int) "the job behind it runs" 3 (await (submit_cell pool (fun () -> 3))))
 
+(* The lone worker is busy, so the jobs stay queued until shutdown.  Once
+   a submit raises, shutdown has dropped them; only then is the worker
+   released, to find nothing left to run. *)
 let test_shutdown_drops_queued_jobs () =
-  (* no runner at all: the jobs stay queued until shutdown *)
-  let pool = Pool.create ~domains:1 in
+  let pool = Pool.create ~domains:2 in
+  let release = occupy pool in
   let ran = Atomic.make false in
-  let jobs = List.init 3 (fun _ -> Pool.submit pool (fun () -> Atomic.set ran true)) in
-  Pool.shutdown pool;
+  let mark () = Atomic.set ran true in
+  let jobs = List.init 3 (fun _ -> Pool.submit pool mark) in
+  let stopper = Thread.create Pool.shutdown pool in
+  wait_until ~unstick:release ~secs:10.0 "shutdown dropped the queue" (fun () ->
+      match Pool.submit pool mark with _ -> false | exception Invalid_argument _ -> true);
+  release ();
+  Thread.join stopper;
   Alcotest.(check bool) "no dropped job is left to withdraw" false (List.exists Pool.cancel jobs);
-  (* a runner started now finds nothing and returns *)
-  Pool.work pool;
   Alcotest.(check bool) "no dropped job ran" false (Atomic.get ran);
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       ignore (Pool.submit pool (fun () -> ())))
 
-(* One runner: the parked job must hand it to the job queued behind it,
+(* One worker: the parked job must hand it to the job queued behind it,
    which is the one that resumes it. *)
 let test_park_frees_runner () =
-  with_runner (Pool.create ~domains:1) (fun pool ->
+  Pool.run ~domains:2 (fun pool ->
       let resume_a = Atomic.make None in
       let a =
         submit_cell pool (fun () ->
@@ -181,11 +188,11 @@ let test_park_frees_runner () =
       | _ -> Alcotest.fail "both jobs finish with their own values")
 
 (* Jobs that park between rating-like batches continue on whichever
-   runner takes them — three domains and a main-domain runner — with
-   their stacks, handlers and results intact. *)
+   worker takes them — two worker domains — with their stacks, handlers
+   and results intact. *)
 let test_parked_jobs_migrate () =
   let parked = Queue.create () and lock = Mutex.create () in
-  with_runner (Pool.create ~domains:3) (fun pool ->
+  Pool.run ~domains:3 (fun pool ->
       let job i () =
         let acc = ref 0 in
         for round = 1 to 6 do
@@ -222,24 +229,29 @@ let test_parked_jobs_migrate () =
           | Error e -> Alcotest.failf "job %d raised %s" i (Printexc.to_string e))
         results)
 
+(* The lone worker is busy, so a job stays queued until it is withdrawn;
+   the job queued after it runs once the worker is free, which it
+   reaches only past the withdrawn one. *)
 let test_cancel_withdraws_queued_job () =
-  let pool = Pool.create ~domains:1 in
-  let ran = Atomic.make false in
-  let withdrawn = Pool.submit pool (fun () -> Atomic.set ran true) in
-  Alcotest.(check bool) "a queued job is withdrawn" true (Pool.cancel withdrawn);
-  Alcotest.(check bool) "by the first cancel only" false (Pool.cancel withdrawn);
-  with_runner pool (fun pool ->
+  Pool.run ~domains:2 (fun pool ->
+      let release = occupy pool in
+      let ran = Atomic.make false in
+      let withdrawn = Pool.submit pool (fun () -> Atomic.set ran true) in
+      let first = Pool.cancel withdrawn in
+      let again = Pool.cancel withdrawn in
+      release ();
+      Alcotest.(check bool) "a queued job is withdrawn" true first;
+      Alcotest.(check bool) "by the first cancel only" false again;
       let value = Atomic.make 0 in
       let later = Pool.submit pool (fun () -> Atomic.set value 5) in
       wait_until ~secs:10.0 "the later job ran" (fun () -> Atomic.get value = 5);
-      Alcotest.(check bool) "a started job is not withdrawn" false (Pool.cancel later));
-  Alcotest.(check bool) "the withdrawn job never ran" false (Atomic.get ran)
+      Alcotest.(check bool) "a started job is not withdrawn" false (Pool.cancel later);
+      Alcotest.(check bool) "the withdrawn job never ran" false (Atomic.get ran))
 
 (* A job parked at shutdown and resumed after it unwinds from its park:
    its finalisers run and the code after the park does not. *)
 let test_resume_after_shutdown () =
-  let pool = Pool.create ~domains:1 in
-  let runner = Thread.create Pool.work pool in
+  let pool = Pool.create ~domains:2 in
   let resume = Atomic.make None and unwound = Atomic.make false in
   let continued = Atomic.make false in
   ignore
@@ -250,9 +262,9 @@ let test_resume_after_shutdown () =
              Pool.park (fun r -> Atomic.set resume (Some r));
              Atomic.set continued true)));
   wait_until ~secs:10.0 "the job parked" (fun () -> Option.is_some (Atomic.get resume));
+  (* the worker is idle since the job parked, so shutdown joins it *)
   Pool.shutdown pool;
   (Option.get (Atomic.get resume)) ();
-  Thread.join runner;
   Alcotest.(check bool) "the parked job unwound" true (Atomic.get unwound);
   Alcotest.(check bool) "past its park it never ran" false (Atomic.get continued)
 
@@ -275,8 +287,8 @@ let suites =
         Alcotest.test_case "nested map does not deadlock" `Quick test_nested_map;
         Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
         Alcotest.test_case "invalid domain count" `Quick test_invalid_domains;
-        Alcotest.test_case "jobs run on a pool with no worker domain" `Quick
-          test_jobs_without_workers;
+        Alcotest.test_case "submit to a pool with no worker domain raises" `Quick
+          test_submit_without_workers;
         Alcotest.test_case "a job never starts inside a job's batch" `Quick test_jobs_never_nest;
         Alcotest.test_case "a raising job leaves its runner running" `Quick
           test_raising_job_keeps_runner;

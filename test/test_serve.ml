@@ -294,13 +294,13 @@ let admission_bounds () =
   Alcotest.(check int) "rejected" 1 s.Admission.a_rejected
 
 (* [Admission.charge] pauses by parking its pool job, so each charge
-   below runs as a job on a one-domain pool with one runner thread.
-   Jobs start in submission order, so a probe job queued behind a charge
-   runs once that charge has returned or parked, and tells which: the
-   charge returns whether it returned at once, and a flag that turns
-   true when it returns. *)
+   below runs as a job on a pool with one worker domain.  Jobs start in
+   submission order, so a probe job queued behind a charge runs once
+   that charge has returned or parked, and tells which: the charge
+   returns whether it returned at once, and a flag that turns true when
+   it returns. *)
 let with_charger f =
-  Test_pool.with_runner (Peak_util.Pool.create ~domains:1) @@ fun pool ->
+  Peak_util.Pool.run ~domains:2 @@ fun pool ->
   let charge ?(abort = fun () -> false) adm tk fresh =
     let returned = Atomic.make false in
     ignore
@@ -828,6 +828,70 @@ let daemon_aborts_queued_sessions () =
       Alcotest.(check bool) "and is not done" true (info.Peak_store.Session.info_result = None)
   | Error e -> Alcotest.fail e
 
+(* The serving domain only serves.  At one and at two worker domains,
+   with more concurrent sessions than domains, every session's tune,
+   profile and rating spans carry a worker domain's id, never that of
+   the domain that runs [Daemon.serve] (this test's: [start_daemon]'s
+   thread runs on it); stats report the configured domains; and every
+   result is byte-identical to batch.  The trace is read before the
+   batch references run, since they tune on this domain. *)
+let daemon_computes_off_serving_domain () =
+  Oracles.with_tmpdir @@ fun dir ->
+  Fun.protect ~finally:Peak_obs.uninstall @@ fun () ->
+  let serving = (Domain.self () :> int) in
+  List.iter
+    (fun domains ->
+      Peak_obs.install ();
+      let store = Filename.concat dir (Printf.sprintf "store%d" domains) in
+      let ((_, _, endpoint) as d) = start_daemon ~max_sessions:3 ~domains store in
+      let results = Array.make 3 None in
+      Fun.protect ~finally:(fun () -> stop_daemon d) (fun () ->
+          List.init 3 (fun i ->
+              Thread.create
+                (fun () ->
+                  let c = connect endpoint in
+                  Fun.protect
+                    ~finally:(fun () -> Client.close c)
+                    (fun () ->
+                      results.(i) <-
+                        Some (Client.run c (Wire.Submit (cheap_spec ((10 * domains) + i))))))
+                ())
+          |> List.iter Thread.join;
+          let c = connect endpoint in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              match Client.request c Wire.Stats_req with
+              | Ok (Wire.Stats_r { ss_domains; _ }) ->
+                  Alcotest.(check int) "stats report the configured domains" domains ss_domains
+              | _ -> Alcotest.fail "expected stats"));
+      let doc = Result.get_ok (Peak_store.Json.of_string (Option.get (Peak_obs.export ()))) in
+      let trace = Result.get_ok (Tracefile.of_json doc) in
+      let spans cat = List.filter (fun sp -> sp.Tracefile.sp_cat = cat) trace.Tracefile.spans in
+      Alcotest.(check int) "a tune span per session" 3 (List.length (spans "tune"));
+      Alcotest.(check int) "a profile span per session" 3 (List.length (spans "phase.profile"));
+      Alcotest.(check bool) "rating spans" true (spans "rate" <> []);
+      List.iter
+        (fun sp ->
+          if sp.Tracefile.sp_tid = serving then
+            Alcotest.failf "-j %d: %s span %s ran on the serving domain %d" domains
+              sp.Tracefile.sp_cat sp.Tracefile.sp_name serving)
+        (spans "tune" @ spans "phase.profile" @ spans "rate");
+      Array.iteri
+        (fun i r ->
+          let sp = cheap_spec ((10 * domains) + i) in
+          match r with
+          | Some (Ok (Client.Finished { result; _ })) ->
+              Oracles.check_identical_summary
+                (Printf.sprintf "-j %d daemon vs batch (seed %d)" domains sp.Wire.sb_seed)
+                (reference_result (Filename.concat dir (Printf.sprintf "ref%d-%d" domains i)) sp)
+                result
+          | Some (Ok _) -> Alcotest.fail "expected Finished"
+          | Some (Error e) -> Alcotest.failf "client %d: %s" i e
+          | None -> Alcotest.fail "client did not run")
+        results)
+    [ 1; 2 ]
+
 (* The registry holds only running sessions; an ended one's status comes
    from the store: [done] with its result for a completed session, and
    [idle] for a cancelled one, both with the journal's rating count. *)
@@ -1017,6 +1081,8 @@ let suites =
           daemon_cheap_overtakes_long;
         Alcotest.test_case "cancel or stop of a queued session skips its profile" `Quick
           daemon_aborts_queued_sessions;
+        Alcotest.test_case "no session computes on the serving domain" `Quick
+          daemon_computes_off_serving_domain;
         Alcotest.test_case "an ended session's status comes from the store" `Quick
           daemon_reads_ended_sessions_from_store;
         Alcotest.test_case "malformed frames get typed errors" `Quick
