@@ -293,7 +293,7 @@ let analyze_cmd =
     Printf.printf "  Invocations per train run: %d   mean invocation: %.0f cycles\n"
       profile.Profile.n_invocations profile.Profile.avg_invocation_cycles;
     (match profile.Profile.context with
-    | Profile.Cbr_ok { sources; stats; runtime_constant_arrays; pruned } ->
+    | Profile.Cbr_ok { sources; n_contexts; head; runtime_constant_arrays; pruned; _ } ->
         Printf.printf "  Context variables: [%s]"
           (String.concat "; "
              (List.map
@@ -308,10 +308,10 @@ let analyze_cmd =
         if runtime_constant_arrays <> [] then
           Printf.printf "  (run-time-constant arrays: %s)"
             (String.concat ", " runtime_constant_arrays);
-        Printf.printf "\n  Distinct contexts: %d" (List.length stats);
-        (match stats with
-        | s :: _ -> Printf.printf "   dominant share: %.0f%%\n" (s.Profile.time_share *. 100.0)
-        | [] -> print_newline ())
+        Printf.printf "\n  Distinct contexts: %d" n_contexts;
+        (match head with
+        | Some s -> Printf.printf "   dominant share: %.0f%%\n" (s.Profile.time_share *. 100.0)
+        | None -> print_newline ())
     | Profile.Cbr_no reason -> Printf.printf "  CBR inapplicable: %s\n" reason);
     Printf.printf "  MBR components: %d\n"
       (Component_analysis.n_components profile.Profile.components);

@@ -92,6 +92,19 @@ done
 one_line_error "unknown machine" "unknown machine vax" "$BIN" tune ART -m vax
 one_line_error "unknown dataset" "unknown dataset big" "$BIN" tune ART -d big
 
+# What `analyze` prints from the profile's context census (the count,
+# the dominant share, the consultant's reasons and choice) for every
+# benchmark on both machines, byte for byte against ci/analyze.golden.
+echo "== analyze golden"
+for machine in sparc2 pentium4; do
+  for b in APPLU APSI ART BZIP2 CRAFTY EQUAKE GZIP MCF MESA MGRID SWIM TWOLF VORTEX WUPWISE; do
+    "$BIN" analyze "$b" -m "$machine"
+  done
+done > "$SMOKE/analyze.out"
+diff ci/analyze.golden "$SMOKE/analyze.out" \
+  || fail "analyze output differs from ci/analyze.golden"
+echo "   28 analyses identical to the golden"
+
 # interrupt SESSION_DIR COMMAND...: run COMMAND (a signal to the
 # process tuning the session, or a cancel) once the session's journal
 # holds 64 lines (it flushes every 32 appends).  SESSION_DIR may be a

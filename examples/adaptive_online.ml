@@ -30,7 +30,7 @@ let () =
   let profile = Profile.run tsec trace machine in
   let sources, stats =
     match profile.Profile.context with
-    | Profile.Cbr_ok { sources; stats; _ } -> (sources, stats)
+    | Profile.Cbr_ok { sources; _ } -> (sources, Profile.contexts profile)
     | Profile.Cbr_no reason -> failwith reason
   in
   let source_name = function

@@ -39,8 +39,8 @@ let () =
   let report name ratio = Printf.printf "  %-4s measures the ratio as %.3f\n" name ratio in
 
   let runner = Runner.create ~seed:101 tsec trace machine in
-  (match profile.Profile.context with
-  | Profile.Cbr_ok { sources; stats = s :: _; _ } ->
+  (match (profile.Profile.context, Profile.dominant_context profile) with
+  | Profile.Cbr_ok { sources; _ }, Some s ->
       let rate v = (Cbr.rate ~params runner ~sources ~target:s.Profile.values v).Rating.eval in
       report "CBR" (rate v_fast /. rate v_slow)
   | _ -> print_endline "  CBR inapplicable");

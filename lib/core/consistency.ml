@@ -98,7 +98,7 @@ let measure ?(seed = 23) ?(n_ratings = 25) ?(windows = default_windows)
   | Method.Cbr ->
       let sources, stats =
         match profile.Profile.context with
-        | Profile.Cbr_ok { sources; stats; _ } -> (sources, stats)
+        | Profile.Cbr_ok { sources; _ } -> (sources, Profile.contexts profile)
         | Profile.Cbr_no reason -> invalid_arg ("Consistency: CBR chosen but " ^ reason)
       in
       let contexts =

@@ -62,9 +62,8 @@ let render (tsec : Tsection.t) (profile : Profile.t) (advice : Consultant.advice
   end;
   (* (2) CBR context capture *)
   (match profile.Profile.context with
-  | Profile.Cbr_ok { sources; runtime_constant_arrays; pruned; stats } ->
-      out "/* (2) context capture: %d distinct context(s) observed in the profile */"
-        (List.length stats);
+  | Profile.Cbr_ok { sources; runtime_constant_arrays; pruned; n_contexts; _ } ->
+      out "/* (2) context capture: %d distinct context(s) observed in the profile */" n_contexts;
       if sources = [] then out "/*     all context variables are run-time constants */"
       else
         out "static void peak_context(void) { peak_record(%s); }"

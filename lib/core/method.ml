@@ -61,8 +61,7 @@ let applicable ?(max_contexts = default_max_contexts)
   | Cbr -> (
       match profile.Profile.context with
       | Profile.Cbr_no reason -> Error (Printf.sprintf "CBR: %s" reason)
-      | Profile.Cbr_ok { stats; _ } ->
-          let n = List.length stats in
+      | Profile.Cbr_ok { n_contexts = n; _ } ->
           if n > max_contexts then
             Error (Printf.sprintf "CBR: %d contexts exceed the limit of %d" n max_contexts)
           else Ok ())
@@ -116,8 +115,12 @@ let prepare ?(params = Rating.default_params) ~non_ts_cycles m (profile : Profil
     | Cbr -> (
         match profile.Profile.context with
         | Profile.Cbr_no reason -> raise (Not_applicable ("CBR: " ^ reason))
-        | Profile.Cbr_ok { sources; stats; _ } ->
-            let target = match stats with s :: _ -> s.Profile.values | [] -> [||] in
+        | Profile.Cbr_ok { sources; _ } ->
+            let target =
+              match Profile.dominant_context profile with
+              | Some s -> s.Profile.values
+              | None -> [||]
+            in
             Absolute (fun runner v -> Cbr.rate ~params runner ~sources ~target v))
     | Mbr ->
         let components = profile.Profile.components in

@@ -4,10 +4,17 @@ open Peak_compiler
 
 type context_stat = { values : float array; count : int; time_share : float }
 
+(* The census, in id order (ids run by first occurrence): context
+   [id]'s last-invocation vector is [values.(id * width)] ..
+   [values.(id * width + width - 1)]. *)
+type census = { width : int; values : float array; counts : int array; shares : float array }
+
 type context_info =
   | Cbr_ok of {
       sources : Expr.source list;
-      stats : context_stat list;
+      n_contexts : int;
+      head : context_stat option;
+      census : census;
       runtime_constant_arrays : string list;
       pruned : Expr.source list;
     }
@@ -32,7 +39,7 @@ type t = {
    are those of its last invocation, as a table whose [replace] also
    replaces the key keeps them.
 
-   The stats come out in the order the profile has always given: a
+   Contexts come out in the order the profile has always given: a
    generic [Hashtbl] (created at 16 buckets) folded into a list, then
    stable-sorted by descending time share.  That order is a function of
    the keys' hashes and first occurrences, so no table is built for it.
@@ -41,13 +48,40 @@ type t = {
    [Hashtbl.hash key land (b - 1)], newest first (a resize keeps each
    chain's order), so the folded list runs by bucket descending, then by
    first occurrence.  The stable sort puts time share ahead of both:
-   stats run by (time share descending, bucket descending, first
-   occurrence ascending), a total order.
+   contexts run by (time share descending, bucket descending, first
+   occurrence ascending), a total order, which [precedes] compares.
 
    Lookups go through an open-addressed table of context ids, and a
    vector is read from its invocation's row of [ctx]: an invocation
-   allocates nothing. *)
-let context_stats ~ctx ~k ~keep ~times ~total =
+   allocates nothing.  The census copies each context's last vector
+   into one flat array, and one scan over the ids finds the head. *)
+
+(* the generic table's bucket count after [d] insertions *)
+let buckets d =
+  let b = ref 16 in
+  while d > 2 * !b do
+    b := 2 * !b
+  done;
+  !b
+
+(* [precedes shares hashes mask a b < 0] when context [a] comes before
+   context [b], its bucket being [hashes.(a) land mask] *)
+let precedes shares hashes mask a b =
+  match Float.compare shares.(b) shares.(a) with
+  | 0 -> (
+      match Int.compare (hashes.(b) land mask) (hashes.(a) land mask) with
+      | 0 -> Int.compare a b
+      | o -> o)
+  | o -> o
+
+let stat c id =
+  {
+    values = Array.sub c.values (id * c.width) c.width;
+    count = c.counts.(id);
+    time_share = c.shares.(id);
+  }
+
+let census ~ctx ~k ~keep ~times ~total =
   let n = Array.length times in
   let kept = Array.of_list (List.filter (fun j -> keep.(j)) (List.init k Fun.id)) in
   let m = Array.length kept in
@@ -92,34 +126,21 @@ let context_stats ~ctx ~k ~keep ~times ~total =
     time.(id) <- time.(id) +. times.(i)
   done;
   let d = !distinct in
-  let buckets = ref 16 in
-  while d > 2 * !buckets do
-    buckets := 2 * !buckets
-  done;
-  let bucket id = hash.(id) land (!buckets - 1) in
   let share = Float.max 1.0 total in
-  let time_share = Array.make d 0.0 in
+  let values = Array.make (d * m) 0.0 and shares = Array.make d 0.0 in
   for id = 0 to d - 1 do
-    time_share.(id) <- time.(id) /. share
-  done;
-  let order = Array.init d Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      match Float.compare time_share.(b) time_share.(a) with
-      | 0 -> ( match Int.compare (bucket b) (bucket a) with 0 -> Int.compare a b | c -> c)
-      | c -> c)
-    order;
-  let stats = ref [] in
-  for r = d - 1 downto 0 do
-    let id = order.(r) in
     let row = last.(id) * k in
-    let values = Array.make m 0.0 in
     for j = 0 to m - 1 do
-      values.(j) <- ctx.(row + kept.(j))
+      values.((id * m) + j) <- ctx.(row + kept.(j))
     done;
-    stats := { values; count = count.(id); time_share = time_share.(id) } :: !stats
+    shares.(id) <- time.(id) /. share
   done;
-  !stats
+  let c = { width = m; values; counts = Array.sub count 0 d; shares } in
+  let bucket_mask = buckets d - 1 and best = ref 0 in
+  for id = 1 to d - 1 do
+    if precedes shares hash bucket_mask id !best < 0 then best := id
+  done;
+  (c, if d = 0 then None else Some (stat c !best))
 
 let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
   let o3 = Version.compile machine tsec.Tsection.features Optconfig.o3 in
@@ -180,10 +201,13 @@ let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
           done;
         let kept_sources = List.filteri (fun j _ -> keep.(j)) sources in
         let pruned = List.filteri (fun j _ -> not keep.(j)) sources in
+        let census, head = census ~ctx ~k ~keep ~times ~total:!total in
         Cbr_ok
           {
             sources = kept_sources;
-            stats = context_stats ~ctx ~k ~keep ~times ~total:!total;
+            n_contexts = Array.length census.counts;
+            head;
+            census;
             runtime_constant_arrays;
             pruned;
           }
@@ -204,11 +228,20 @@ let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
   }
 
 let n_contexts t =
-  match t.context with Cbr_ok { stats; _ } -> Some (List.length stats) | Cbr_no _ -> None
+  match t.context with Cbr_ok { n_contexts; _ } -> Some n_contexts | Cbr_no _ -> None
 
-let dominant_context t =
-  match t.context with
-  | Cbr_ok { stats = s :: _; _ } -> Some s
-  | Cbr_ok { stats = []; _ } | Cbr_no _ -> None
-
+let dominant_context t = match t.context with Cbr_ok { head; _ } -> head | Cbr_no _ -> None
 let dominant_share t = Option.map (fun s -> s.time_share) (dominant_context t)
+
+let contexts t =
+  match t.context with
+  | Cbr_no _ -> []
+  | Cbr_ok { census = c; _ } ->
+      let d = Array.length c.counts in
+      let stats = Array.init d (stat c) in
+      (* a context hashes as its table key did: compare-equal vectors
+         hash alike *)
+      let hashes = Array.map (fun (s : context_stat) -> Hashtbl.hash s.values) stats in
+      let order = Array.init d Fun.id in
+      Array.stable_sort (precedes c.shares hashes (buckets d - 1)) order;
+      Array.fold_right (fun id acc -> stats.(id) :: acc) order []

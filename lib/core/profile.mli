@@ -14,11 +14,21 @@ type context_stat = {
   time_share : float;  (** Fraction of TS time spent under this context. *)
 }
 
+type census
+(** Every distinct context in one flat record: each context's
+    last-invocation vector in one float array, with its count and time
+    share in arrays beside it.  It holds no record, array or list cell
+    per context; {!contexts} builds those. *)
+
 type context_info =
   | Cbr_ok of {
       sources : Peak_ir.Expr.source list;
           (** Context variables after run-time-constant pruning. *)
-      stats : context_stat list;  (** Sorted by descending time share. *)
+      n_contexts : int;  (** Distinct contexts observed. *)
+      head : context_stat option;
+          (** The dominant context, the first of {!contexts}; [None]
+              only when the pass ran no invocation. *)
+      census : census;  (** Every context, unsorted: read it through {!contexts}. *)
       runtime_constant_arrays : string list;
       pruned : Peak_ir.Expr.source list;  (** Dropped run-time constants. *)
     }
@@ -49,4 +59,14 @@ val n_contexts : t -> int option
 (** Number of distinct contexts, when CBR's analysis succeeded. *)
 
 val dominant_context : t -> context_stat option
+(** The context with the largest time share (CBR's target), when CBR's
+    analysis succeeded and the pass ran. *)
+
 val dominant_share : t -> float option
+
+val contexts : t -> context_stat list
+(** Every distinct context, by descending time share, then by the order
+    of the context table's hash buckets (descending), then by first
+    occurrence; [[]] when CBR's analysis failed.  Each call sorts the
+    census and builds the list afresh: it costs one stable sort of the
+    distinct contexts, so read it only where CBR applies. *)

@@ -508,11 +508,51 @@ end
 (* The profile run [Profile.run] replaced: every invocation copies its
    context out of the runner into an array of its own (and a sampled
    invocation its counts), and the context table rebuilds each pruned
-   key through lists and re-inserts a tuple.  The streaming profile must equal it in every
-   field, the order of [stats] included (test_core.ml). *)
+   key through lists, re-inserts a tuple, and is sorted into a list of
+   every context.  Its result keeps that list, so it has a type of its
+   own.  The streaming profile must equal it in every field, its count,
+   head and [Profile.contexts] against the list, order included
+   (test_core.ml). *)
 module Reference_profile = struct
   open Peak_workload
-  open Profile
+
+  type context_info =
+    | Cbr_ok of {
+        sources : Peak_ir.Expr.source list;
+        stats : Profile.context_stat list;  (** Sorted by descending time share. *)
+        runtime_constant_arrays : string list;
+        pruned : Peak_ir.Expr.source list;
+      }
+    | Cbr_no of string
+
+  type t = {
+    n_invocations : int;
+    avg_invocation_cycles : float;
+    context : context_info;
+    components : Component_analysis.t;
+    count_samples : int array array;
+    impure_calls : bool;
+    block_weights : float array;
+    avg_component_counts : float array;
+    dominant_component : int;
+    ts_pass_cycles : float;
+  }
+
+  (* [p]'s fields but the context, as a [Profile.t] whose context is
+     [Cbr_no ""] *)
+  let without_context p =
+    {
+      Profile.n_invocations = p.n_invocations;
+      avg_invocation_cycles = p.avg_invocation_cycles;
+      context = Profile.Cbr_no "";
+      components = p.components;
+      count_samples = p.count_samples;
+      impure_calls = p.impure_calls;
+      block_weights = p.block_weights;
+      avg_component_counts = p.avg_component_counts;
+      dominant_component = p.dominant_component;
+      ts_pass_cycles = p.ts_pass_cycles;
+    }
 
   let run ?(seed = 7) ?(max_count_samples = 240) tsec trace machine =
     let o3 = Version.compile machine tsec.Tsection.features Optconfig.o3 in
@@ -572,9 +612,9 @@ module Reference_profile = struct
           let stats =
             Hashtbl.fold
               (fun values (count, time) acc ->
-                { values; count; time_share = time /. Float.max 1.0 !total } :: acc)
+                { Profile.values; count; time_share = time /. Float.max 1.0 !total } :: acc)
               tbl []
-            |> List.sort (fun a b -> compare b.time_share a.time_share)
+            |> List.sort (fun a b -> compare b.Profile.time_share a.Profile.time_share)
           in
           Cbr_ok { sources = kept_sources; stats; runtime_constant_arrays; pruned }
     in

@@ -231,13 +231,12 @@ let test_profile_swim_single_context () =
 let test_profile_apsi_contexts () =
   let _, _, p = profile_of "APSI" Machine.sparc2 in
   Alcotest.(check (option int)) "three contexts" (Some 3) (Profile.n_contexts p);
-  match p.Profile.context with
-  | Profile.Cbr_ok { stats; _ } ->
-      let total = List.fold_left (fun acc s -> acc +. s.Profile.time_share) 0.0 stats in
-      Alcotest.(check (float 0.01)) "shares sum to 1" 1.0 total;
-      let counts = List.fold_left (fun acc s -> acc + s.Profile.count) 0 stats in
-      Alcotest.(check int) "counts cover the trace" p.Profile.n_invocations counts
-  | Profile.Cbr_no r -> Alcotest.fail r
+  let contexts = Profile.contexts p in
+  Alcotest.(check int) "three listed" 3 (List.length contexts);
+  let total = List.fold_left (fun acc s -> acc +. s.Profile.time_share) 0.0 contexts in
+  Alcotest.(check (float 0.01)) "shares sum to 1" 1.0 total;
+  let counts = List.fold_left (fun acc s -> acc + s.Profile.count) 0 contexts in
+  Alcotest.(check int) "counts cover the trace" p.Profile.n_invocations counts
 
 let test_profile_wupwise_two_contexts () =
   let _, _, p = profile_of "WUPWISE" Machine.sparc2 in
@@ -1041,12 +1040,41 @@ let test_consistency_cbr_multi_context_rows () =
       Alcotest.(check bool) "context labelled" true (row.Consistency.context_label <> None))
     rows
 
+(* [got] against the reference profile [want], bit for bit (marshalled
+   without sharing, so class-cached samples the reference shares compare
+   by content): every field but the context as it is, and the context's
+   count, head and [Profile.contexts] against the reference's sorted
+   list, its order included. *)
+let check_profile tag (got : Profile.t) (want : Oracles.Reference_profile.t) =
+  let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
+  let module R = Oracles.Reference_profile in
+  Alcotest.(check bool)
+    (tag ^ ": identical fields") true
+    (bytes { got with Profile.context = Profile.Cbr_no "" } = bytes (R.without_context want));
+  match (got.Profile.context, want.R.context) with
+  | Profile.Cbr_no r, R.Cbr_no r' -> Alcotest.(check string) (tag ^ ": reason") r' r
+  | ( Profile.Cbr_ok { sources; n_contexts; head; runtime_constant_arrays; pruned; _ },
+      R.Cbr_ok { sources = s; stats; runtime_constant_arrays = r; pruned = p } ) ->
+      let n = List.length stats in
+      Alcotest.(check bool)
+        (tag ^ ": sources") true
+        (bytes (sources, runtime_constant_arrays, pruned) = bytes (s, r, p));
+      Alcotest.(check int) (tag ^ ": contexts") n n_contexts;
+      Alcotest.(check (option int)) (tag ^ ": n_contexts") (Some n) (Profile.n_contexts got);
+      Alcotest.(check bool)
+        (tag ^ ": head") true
+        (bytes head = bytes (match stats with s :: _ -> Some s | [] -> None));
+      Alcotest.(check bool)
+        (tag ^ ": dominant context") true
+        (bytes (Profile.dominant_context got) = bytes head);
+      Alcotest.(check bool)
+        (tag ^ ": sorted contexts") true
+        (bytes (Profile.contexts got) = bytes stats)
+  | _ -> Alcotest.failf "%s: CBR verdicts differ" tag
+
 (* The streaming profile against the per-sample one it replaced, on
-   every benchmark, both machines and two seeds: every field bit for bit
-   (marshalled without sharing, so class-cached samples the reference
-   shares compare by content), the order of [stats] included. *)
+   every benchmark, both machines and two seeds. *)
 let test_profile_matches_reference () =
-  let bytes p = Marshal.to_string (p : Profile.t) [ Marshal.No_sharing ] in
   List.iter
     (fun (b : Benchmark.t) ->
       let tsec = Tsection.make b.Benchmark.ts in
@@ -1057,51 +1085,66 @@ let test_profile_matches_reference () =
               let trace () = b.Benchmark.trace Trace.Train ~seed in
               let got = Profile.run ~seed:(seed + 1) tsec (trace ()) machine in
               let want = Oracles.Reference_profile.run ~seed:(seed + 1) tsec (trace ()) machine in
-              let tag =
-                Printf.sprintf "%s/%s/seed %d" b.Benchmark.name machine.Machine.name seed
-              in
-              Alcotest.(check (option int)) (tag ^ ": contexts") (Profile.n_contexts want)
-                (Profile.n_contexts got);
-              Alcotest.(check bool) (tag ^ ": identical profile") true (bytes got = bytes want))
+              check_profile
+                (Printf.sprintf "%s/%s/seed %d" b.Benchmark.name machine.Machine.name seed)
+                got want)
             [ 3; 11 ])
         [ Machine.pentium4; Machine.sparc2 ])
     Registry.all
 
-(* Where contexts tie on time share, the order of [stats] is the
-   context table's own: on a noise-free machine every invocation of
-   this section costs the same, so the 150 contexts below (each seen
-   twice, except the signed zeros and nans that compare equal) tie by
-   the dozen.  The streaming profile must order them, and keep the last
-   invocation's bits for equal vectors, exactly as the reference does. *)
-let test_profile_ties_match_reference () =
+(* A section whose invocations all cost the same on a noise-free
+   machine, over a trace of [length] invocations setting x, y (a
+   constant, pruned from the context) and z. *)
+let tie_profiles ~length x z =
   let ts =
     B.ts ~name:"ties" ~params:[ "x"; "y"; "z" ] ~locals:[ "t" ]
       B.[ if_ (v "x" + v "y" + v "z" > c 1e9) [ "t" := c 1.0 ] [ "t" := c 1.0 ] ]
   in
   let tsec = Tsection.make ts in
   let machine = { Machine.sparc2 with Machine.noise_sigma = 0.0; spike_probability = 0.0 } in
-  let special = [| 0.0; -0.0; Float.nan; -.Float.nan; 1.0; -0.0; 0.0 |] in
-  let length = 300 in
   let trace () =
-    let x = Interp.handle "x" and y = Interp.handle "y" and z = Interp.handle "z" in
+    let hx = Interp.handle "x" and hy = Interp.handle "y" and hz = Interp.handle "z" in
     Trace.make ~name:"ties" ~length (fun i env ->
-        Interp.set_handle x env
-          (if i mod 20 = 0 then special.(i / 20 mod Array.length special)
-           else float_of_int (i mod 150));
-        (* a constant, pruned from the context *)
-        Interp.set_handle y env 5.0;
-        Interp.set_handle z env (float_of_int (i mod 3)))
+        Interp.set_handle hx env (x i);
+        Interp.set_handle hy env 5.0;
+        Interp.set_handle hz env (z i))
   in
-  let bytes p = Marshal.to_string (p : Profile.t) [ Marshal.No_sharing ] in
-  let got = Profile.run tsec (trace ()) machine in
-  let want = Oracles.Reference_profile.run tsec (trace ()) machine in
+  (Profile.run tsec (trace ()) machine, Oracles.Reference_profile.run tsec (trace ()) machine)
+
+(* Where contexts tie on time share, their order is the context table's
+   own.  In the first section the 150 contexts (each seen twice, except
+   the signed zeros and nans that compare equal) tie by the dozen; in
+   the second, 64 contexts seen 4 times each share the top share, so
+   the head is the first of them in the table's order, bucket and first
+   occurrence deciding.  The streaming profile must order them, pick
+   the head, and keep the last invocation's bits for equal vectors,
+   exactly as the reference does. *)
+let test_profile_ties_match_reference () =
+  let special = [| 0.0; -0.0; Float.nan; -.Float.nan; 1.0; -0.0; 0.0 |] in
+  let got, want =
+    tie_profiles ~length:300
+      (fun i ->
+        if i mod 20 = 0 then special.(i / 20 mod Array.length special)
+        else float_of_int (i mod 150))
+      (fun i -> float_of_int (i mod 3))
+  in
   (match got.Profile.context with
-  | Profile.Cbr_ok { stats; pruned; _ } ->
+  | Profile.Cbr_ok { pruned; _ } ->
       Alcotest.(check int) "y pruned" 1 (List.length pruned);
-      let shares = List.sort_uniq Float.compare (List.map (fun s -> s.Profile.time_share) stats) in
-      Alcotest.(check bool) "contexts tie" true (List.length shares < List.length stats / 4)
+      let contexts = Profile.contexts got in
+      let shares =
+        List.sort_uniq Float.compare (List.map (fun s -> s.Profile.time_share) contexts)
+      in
+      Alcotest.(check bool) "contexts tie" true (List.length shares < List.length contexts / 4)
   | Profile.Cbr_no r -> Alcotest.failf "CBR inapplicable: %s" r);
-  Alcotest.(check bool) "identical profile" true (bytes got = bytes want)
+  check_profile "ties" got want;
+  let got, want = tie_profiles ~length:256 (fun i -> float_of_int (i mod 64)) (fun _ -> 0.0) in
+  let contexts = Profile.contexts got in
+  let top = (List.hd contexts).Profile.time_share in
+  Alcotest.(check bool)
+    "several contexts share the top" true
+    (List.length (List.filter (fun s -> s.Profile.time_share = top) contexts) > 1);
+  check_profile "top ties" got want
 
 let suites =
   [
